@@ -176,6 +176,72 @@ TEST(Speculation, GatesOffReproducePinnedBaseline)
     }
 }
 
+/**
+ * Async twin of kPinnedBaseline: the same 23 replays with
+ * pipelineParallel and speculativeFlips on, pinning the digest, the
+ * overlapped clock, the IPC and flip accounting and the speculation
+ * ledger. Captured while the runtime still had a separate serial
+ * dispatch function; the single dispatch path must keep reproducing
+ * these bit-for-bit.
+ */
+struct PinnedAsyncApp {
+    int id;
+    uint64_t digest;
+    uint64_t elapsed;
+    uint64_t ipcMessages;
+    uint64_t protectionFlips;
+    uint64_t speculationStarts;
+    uint64_t speculationRollbacks;
+};
+
+constexpr PinnedAsyncApp kPinnedAsync[] = {
+    {1, 10419491173088401866ull, 1611457, 36, 2, 7, 0},
+    {2, 11375247172328803975ull, 467322, 36, 2, 7, 0},
+    {3, 10204070634842719979ull, 468551, 36, 2, 7, 0},
+    {4, 66799739783162451ull, 233457, 16, 0, 0, 0},
+    {5, 5671517318878080712ull, 1588417, 48, 2, 11, 0},
+    {6, 15701432803513851916ull, 944017, 24, 2, 5, 0},
+    {7, 5671517318878080712ull, 1588417, 36, 2, 7, 0},
+    {8, 11375247172328803975ull, 467322, 36, 2, 7, 0},
+    {9, 8819781630537175346ull, 405542, 36, 2, 7, 0},
+    {10, 8819781630537175346ull, 405542, 30, 2, 5, 0},
+    {11, 17032319491563530885ull, 168642, 12, 0, 0, 0},
+    {12, 15249180925137261220ull, 278816, 36, 2, 7, 0},
+    {13, 763387502086238240ull, 278816, 30, 2, 5, 0},
+    {14, 1546770538989743976ull, 278816, 30, 2, 5, 0},
+    {15, 9180396819245299624ull, 278816, 30, 2, 5, 0},
+    {16, 14819616210041146916ull, 278816, 36, 2, 7, 0},
+    {17, 12552524467909047916ull, 218003, 24, 1, 3, 0},
+    {18, 6965401261650142748ull, 278816, 30, 2, 5, 0},
+    {19, 12552524467909047916ull, 218003, 20, 1, 2, 0},
+    {20, 7982155967305217763ull, 378189, 30, 2, 5, 0},
+    {21, 6956354913011216515ull, 372962, 30, 2, 5, 0},
+    {22, 2478482757173575011ull, 372962, 30, 2, 5, 0},
+    {23, 4287700340724656579ull, 378189, 30, 2, 5, 0},
+};
+
+TEST(Speculation, AsyncSpeculativeReplayReproducesPinnedBaseline)
+{
+    const auto &models = apps::appModels();
+    ASSERT_EQ(models.size(), std::size(kPinnedAsync));
+    for (size_t i = 0; i < models.size(); ++i) {
+        const PinnedAsyncApp &pin = kPinnedAsync[i];
+        ASSERT_EQ(models[i].id, pin.id);
+        apps::WorkloadResult r = env().replayApp(i, true, true);
+        EXPECT_EQ(r.finalDigest, pin.digest) << models[i].name;
+        EXPECT_EQ(r.stats.elapsed(), pin.elapsed) << models[i].name;
+        EXPECT_EQ(r.stats.ipcMessages, pin.ipcMessages)
+            << models[i].name;
+        EXPECT_EQ(r.stats.protectionFlips, pin.protectionFlips)
+            << models[i].name;
+        EXPECT_EQ(r.stats.speculationStarts, pin.speculationStarts)
+            << models[i].name;
+        EXPECT_EQ(r.stats.speculationRollbacks,
+                  pin.speculationRollbacks)
+            << models[i].name;
+    }
+}
+
 TEST(Speculation, GateOffLeavesSpeculationCountersZero)
 {
     // Pipeline mode without the speculation gate must not speculate:
