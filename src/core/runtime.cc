@@ -100,17 +100,6 @@ FreePartRuntime::FreePartRuntime(osim::Kernel &kernel,
     if (config.pipelineParallel && config.maxInFlightPerPartition == 0)
         util::fatal("RuntimeConfig: pipelineParallel needs "
                     "maxInFlightPerPartition >= 1");
-    if (config.adaptiveBatching) {
-        if (config.hotWindowMaxDepth == 0)
-            util::fatal("RuntimeConfig: adaptiveBatching needs "
-                        "hotWindowMaxDepth >= 1");
-        if (config.batchGrowOccupancy <= 0.0 ||
-            config.batchDecayOccupancy < 0.0 ||
-            config.batchDecayOccupancy > config.batchGrowOccupancy)
-            util::fatal("RuntimeConfig: adaptive batching occupancy "
-                        "thresholds must satisfy 0 <= decay <= grow "
-                        "and grow > 0");
-    }
     if (config.supervision.backoffFactor < 1.0)
         util::fatal("RuntimeConfig: supervision.backoffFactor %.3f "
                     "would shrink backoff delays (must be >= 1)",
@@ -649,42 +638,68 @@ ApiResult
 FreePartRuntime::invoke(const std::string &api_name,
                         ipc::ValueList args)
 {
-    if (!config.pipelineParallel)
-        return invokeSync(api_name, std::move(args));
     return wait(invokeAsync(api_name, std::move(args)));
 }
 
-ApiResult
-FreePartRuntime::invokeSync(const std::string &api_name,
-                            ipc::ValueList args)
+CallTicket
+FreePartRuntime::invokeAsync(const std::string &api_name,
+                             ipc::ValueList args)
 {
-    const fw::ApiDescriptor *desc = registry.byName(api_name);
-    if (!desc) {
-        ApiResult res;
-        res.error = "unknown API: " + api_name;
-        return res;
-    }
-    if (!hostAlive()) {
-        ApiResult res;
-        res.error = "host program has crashed";
-        return res;
-    }
-    ++stats_.apiCalls;
+    CallTicket ticket{nextTicket_++};
+    if (config.pipelineParallel)
+        ++stats_.asyncCalls;
+    PendingCall pending;
+    dispatch(ticket.id, api_name, args, pending);
+    pendingAsync_.emplace(ticket.id, std::move(pending));
+    return ticket;
+}
 
-    // An argument object can be gone entirely — lost with a crashed
-    // agent that had neither a checkpoint of it nor a host copy. That
-    // is a typed per-call failure, never a host panic.
+std::string
+FreePartRuntime::lostArgument(const ipc::ValueList &args) const
+{
+    for (const ipc::Value &value : args)
+        if (value.kind() == ipc::Value::Kind::Ref &&
+            !hasObject(value.asRef().objectId))
+            return "argument object " +
+                   std::to_string(value.asRef().objectId) +
+                   " was lost in an agent crash";
+    return {};
+}
+
+osim::SimTime
+FreePartRuntime::argsReadyAt(const ipc::ValueList &args,
+                             osim::SimTime floor) const
+{
     for (const ipc::Value &value : args) {
         if (value.kind() != ipc::Value::Kind::Ref)
             continue;
-        uint64_t id = value.asRef().objectId;
-        if (!hasObject(id)) {
-            ApiResult res;
-            res.error = "argument object " + std::to_string(id) +
-                        " was lost in an agent crash";
-            return res;
-        }
+        auto ready = objectReadyAt_.find(value.asRef().objectId);
+        if (ready != objectReadyAt_.end())
+            floor = std::max(floor, ready->second);
     }
+    return floor;
+}
+
+const fw::ApiDescriptor *
+FreePartRuntime::resolveCall(const std::string &api_name,
+                             const ipc::ValueList &args,
+                             uint32_t &partition, ApiResult &result)
+{
+    const fw::ApiDescriptor *desc = registry.byName(api_name);
+    if (!desc) {
+        result.error = "unknown API: " + api_name;
+        return nullptr;
+    }
+    if (!hostAlive()) {
+        result.error = "host program has crashed";
+        return nullptr;
+    }
+    ++stats_.apiCalls;
+    // An argument object can be gone entirely. That is a typed
+    // per-call failure, never a host panic.
+    result.error = lostArgument(args);
+    if (!result.error.empty())
+        return nullptr;
 
     auto it = cats.find(api_name);
     fw::ApiType type =
@@ -694,89 +709,10 @@ FreePartRuntime::invokeSync(const std::string &api_name,
 
     // Framework-state machine: concrete API types drive transitions;
     // type-neutral APIs inherit the current state (§4.2).
-    if (!neutral && type != fw::ApiType::Unknown)
-        enterState(stateForType(type));
-
-    uint32_t partition = plan_.partitionFor(api_name, type);
-    if (neutral && lastPartition != kHostPartition &&
-        plan_.kind() == PlanKind::ByType)
-        partition = lastPartition;
-
-    ApiResult result;
-    if (partition == kHostPartition) {
-        result = executeInHost(*desc, args);
-    } else {
-        if (boundaryObserver_)
-            boundaryObserver_(api_name, partition, args);
-        result = executeOnAgent(partition, *desc, args);
-        lastPartition = partition;
-    }
-    return result;
-}
-
-CallTicket
-FreePartRuntime::invokeAsync(const std::string &api_name,
-                             ipc::ValueList args)
-{
-    CallTicket ticket{nextTicket_++};
-    PendingCall pending;
-    if (!config.pipelineParallel) {
-        // Gate off: execute synchronously and hand back an
-        // already-completed ticket, so async call sites work
-        // unchanged under serialized accounting.
-        pending.result = invokeSync(api_name, std::move(args));
-        pending.readyAt = kernel_.now();
-        pending.issuedAt = pending.readyAt;
-    } else {
-        ++stats_.asyncCalls;
-        dispatchPipelined(ticket.id, api_name, std::move(args),
-                          pending);
-    }
-    pendingAsync_.emplace(ticket.id, std::move(pending));
-    return ticket;
-}
-
-void
-FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
-                                   const std::string &api_name,
-                                   ipc::ValueList args,
-                                   PendingCall &out)
-{
-    out.issuedAt = kernel_.now();
-    out.readyAt = kernel_.now();
-    maybeRetireSpeculation();
-
-    const fw::ApiDescriptor *desc = registry.byName(api_name);
-    if (!desc) {
-        out.result.error = "unknown API: " + api_name;
-        return;
-    }
-    if (!hostAlive()) {
-        out.result.error = "host program has crashed";
-        return;
-    }
-    ++stats_.apiCalls;
-    for (const ipc::Value &value : args) {
-        if (value.kind() != ipc::Value::Kind::Ref)
-            continue;
-        uint64_t id = value.asRef().objectId;
-        if (!hasObject(id)) {
-            out.result.error = "argument object " +
-                               std::to_string(id) +
-                               " was lost in an agent crash";
-            return;
-        }
-    }
-
-    auto it = cats.find(api_name);
-    fw::ApiType type =
-        it != cats.end() ? it->second.type : desc->declaredType;
-    bool neutral = (it != cats.end() && it->second.typeNeutral) ||
-                   desc->typeNeutral;
-
     if (!neutral && type != fw::ApiType::Unknown) {
         FrameworkState next = stateForType(type);
-        if (next != state_ && pendingProtectionFlips(state_)) {
+        if (config.pipelineParallel && next != state_ &&
+            pendingProtectionFlips(state_)) {
             // The transition will mprotect data inside an agent
             // address space. In-flight tasks on the virtual timelines
             // may still be writing it. Conservative reading of §4.4.3
@@ -795,10 +731,25 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
         enterState(next);
     }
 
-    uint32_t partition = plan_.partitionFor(api_name, type);
+    partition = plan_.partitionFor(api_name, type);
     if (neutral && lastPartition != kHostPartition &&
         plan_.kind() == PlanKind::ByType)
         partition = lastPartition;
+    return desc;
+}
+
+void
+FreePartRuntime::dispatch(uint64_t ticket_id,
+                          const std::string &api_name,
+                          const ipc::ValueList &args, PendingCall &out)
+{
+    out.readyAt = kernel_.now();
+    maybeRetireSpeculation();
+    uint32_t partition = kHostPartition;
+    const fw::ApiDescriptor *desc =
+        resolveCall(api_name, args, partition, out.result);
+    if (!desc)
+        return;
 
     if (partition == kHostPartition) {
         // Host execution is its own synchronization point: the host
@@ -809,13 +760,23 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
                 syncObjectReady(value.asRef().objectId);
         out.result = executeInHost(*desc, args);
         out.readyAt = kernel_.now();
-        out.partition = kHostPartition;
-        noteObjectsReady(out.result.values, out.readyAt);
+        if (config.pipelineParallel)
+            noteObjectsReady(out.result.values, out.readyAt);
         return;
     }
 
     if (boundaryObserver_)
         boundaryObserver_(api_name, partition, args);
+
+    if (!config.pipelineParallel) {
+        // Serial schedule: the exchange runs on the global clock and
+        // the ticket completes at issue — no task bracket, no
+        // in-flight queue, no issue charge.
+        out.result = executeOnAgent(partition, *desc, args);
+        lastPartition = partition;
+        out.readyAt = kernel_.now();
+        return;
+    }
 
     Agent &agent = agents.at(partition);
 
@@ -836,15 +797,8 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
     // The task starts once the host has issued it, the agent has
     // finished its previous task, and every argument object has been
     // produced (the read set) — the object-dependency schedule.
-    osim::SimTime start =
-        std::max(kernel_.now(), kernel_.timelineOf(agent.pid));
-    for (const ipc::Value &value : args) {
-        if (value.kind() != ipc::Value::Kind::Ref)
-            continue;
-        auto ready = objectReadyAt_.find(value.asRef().objectId);
-        if (ready != objectReadyAt_.end())
-            start = std::max(start, ready->second);
-    }
+    osim::SimTime start = argsReadyAt(
+        args, std::max(kernel_.now(), kernel_.timelineOf(agent.pid)));
 
     // Speculative launch (§15): the call's bracket starts before a
     // deferred protection flip commits, so the data it touches may be
@@ -882,17 +836,10 @@ FreePartRuntime::dispatchPipelined(uint64_t ticket_id,
             // ids and bytes, keeping replay byte-identical to the
             // synchronous schedule.
             squashSpeculativeCall(saved, preId, partition);
-            osim::SimTime restart = std::max(
-                {speculation_.commitAt,
-                 kernel_.timelineOf(agent.pid), kernel_.now()});
-            for (const ipc::Value &value : args) {
-                if (value.kind() != ipc::Value::Kind::Ref)
-                    continue;
-                auto ready =
-                    objectReadyAt_.find(value.asRef().objectId);
-                if (ready != objectReadyAt_.end())
-                    restart = std::max(restart, ready->second);
-            }
+            osim::SimTime restart = argsReadyAt(
+                args, std::max({speculation_.commitAt,
+                                kernel_.timelineOf(agent.pid),
+                                kernel_.now()}));
             kernel_.beginTask(agent.pid, restart);
             out.result = executeOnAgent(partition, *desc, args);
             done = kernel_.endTask();
@@ -950,6 +897,21 @@ FreePartRuntime::peekResult(CallTicket ticket) const
 {
     auto it = pendingAsync_.find(ticket.id);
     return it == pendingAsync_.end() ? nullptr : &it->second.result;
+}
+
+ApiResult
+FreePartRuntime::detach(CallTicket ticket)
+{
+    auto it = pendingAsync_.find(ticket.id);
+    if (it == pendingAsync_.end()) {
+        ApiResult res;
+        res.error = "unknown or already-retired call ticket " +
+                    std::to_string(ticket.id);
+        return res;
+    }
+    ApiResult result = std::move(it->second.result);
+    pendingAsync_.erase(it);
+    return result;
 }
 
 void
@@ -1268,16 +1230,10 @@ FreePartRuntime::executeOnAgent(uint32_t partition,
         // A crash on an earlier attempt may have destroyed an
         // argument object outright (no checkpoint, no host copy);
         // re-delivery cannot succeed, so fail the call typed.
-        for (const ipc::Value &value : args) {
-            if (value.kind() != ipc::Value::Kind::Ref ||
-                hasObject(value.asRef().objectId))
-                continue;
+        if (std::string lost = lostArgument(args); !lost.empty()) {
             result.ok = false;
             result.agentCrashed = crashed_once;
-            result.error =
-                "argument object " +
-                std::to_string(value.asRef().objectId) +
-                " was lost in an agent crash";
+            result.error = std::move(lost);
             return result;
         }
         switch (attemptOnAgent(partition, desc, args, seq, result)) {
@@ -1367,53 +1323,6 @@ FreePartRuntime::absorbDelivers(uint32_t partition,
     }
 }
 
-bool
-FreePartRuntime::rpcWindowHot(uint32_t partition) const
-{
-    return std::find(hotWindow_.begin(), hotWindow_.end(),
-                     partition) != hotWindow_.end();
-}
-
-void
-FreePartRuntime::warmRpcWindow(uint32_t partition)
-{
-    auto it =
-        std::find(hotWindow_.begin(), hotWindow_.end(), partition);
-    if (it != hotWindow_.end())
-        hotWindow_.erase(it);
-    hotWindow_.push_front(partition);
-    while (hotWindow_.size() > hotDepth_)
-        hotWindow_.pop_back();
-}
-
-void
-FreePartRuntime::adaptHotWindow(const ipc::Channel &channel)
-{
-    double occupancy =
-        static_cast<double>(channel.pendingRequestBytes()) /
-        static_cast<double>(channel.ringCapacity());
-    if (occupancy >= config.batchGrowOccupancy) {
-        // Queueing pressure: data-carrying bursts are stacking up on
-        // the ring. Double the window so the partitions feeding the
-        // burst all stay in busy-poll.
-        if (hotDepth_ < config.hotWindowMaxDepth) {
-            hotDepth_ = std::min(hotDepth_ * 2,
-                                 config.hotWindowMaxDepth);
-            ++stats_.hotWindowGrows;
-            stats_.hotWindowDepthPeak = std::max<uint64_t>(
-                stats_.hotWindowDepthPeak, hotDepth_);
-        }
-    } else if (occupancy < config.batchDecayOccupancy &&
-               hotDepth_ > 1) {
-        // Idle chatter: spinning several agents buys nothing; step
-        // the window back toward the binary heuristic.
-        --hotDepth_;
-        ++stats_.hotWindowDecays;
-        while (hotWindow_.size() > hotDepth_)
-            hotWindow_.pop_back();
-    }
-}
-
 void
 FreePartRuntime::evictObject(uint64_t object_id)
 {
@@ -1498,13 +1407,11 @@ FreePartRuntime::attemptOnAgent(uint32_t partition,
     Agent &agent = agents.at(partition);
     result = ApiResult();
 
-    // Hot window: a recent ring exchange was with this partition, so
-    // its agent is still busy-polling the request ring (and we will
+    // Hot window: the previous ring exchange was with this partition,
+    // so its agent is still busy-polling the request ring (and we will
     // busy-poll the response ring) — both futex wakes are skipped for
-    // the whole exchange. With the adaptive controller the window
-    // covers the last hotDepth_ distinct partitions, not just the
-    // immediately previous one.
-    bool hot = config.batchedRpc && rpcWindowHot(partition);
+    // the whole exchange.
+    bool hot = config.batchedRpc && hotPartition_ == partition;
 
     // Host -> agent request over the shared-memory channel, batched
     // with any piggybacked LDC object deliveries.
@@ -1523,10 +1430,6 @@ FreePartRuntime::attemptOnAgent(uint32_t partition,
     ++stats_.ipcMessages; // the Request; Delivers ride along
     if (hot)
         ++stats_.hotSends;
-    // The batch is enqueued but not yet popped: the ring shows this
-    // exchange's enqueue watermark — the controller's pressure input.
-    if (config.adaptiveBatching)
-        adaptHotWindow(*agent.channel);
 
     std::vector<ipc::Message> incomingBatch;
     if (!agent.channel->receiveRequestBatch(incomingBatch)) {
@@ -1650,7 +1553,7 @@ FreePartRuntime::attemptOnAgent(uint32_t partition,
     stats_.bytesTransferred += ipc::batchWireSize(doneBatch);
     // A complete exchange keeps both sides spinning briefly: the next
     // call to this partition (if it comes right away) starts hot.
-    warmRpcWindow(partition);
+    hotPartition_ = partition;
 
     if (!from_cache) {
         // Checkpoint stateful state periodically (A.2.4).
@@ -1691,16 +1594,10 @@ FreePartRuntime::quarantinedCall(uint32_t partition,
         // baseline no-isolation path. Protection is reduced for this
         // call, but the application keeps making progress. Arguments
         // that died with the quarantined agent fail the call typed.
-        for (const ipc::Value &value : args) {
-            if (value.kind() != ipc::Value::Kind::Ref ||
-                hasObject(value.asRef().objectId))
-                continue;
+        if (std::string lost = lostArgument(args); !lost.empty()) {
             ApiResult result;
             result.quarantined = true;
-            result.error =
-                "argument object " +
-                std::to_string(value.asRef().objectId) +
-                " was lost in an agent crash";
+            result.error = std::move(lost);
             return result;
         }
         ++stats_.hostFallbackCalls;

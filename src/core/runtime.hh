@@ -77,19 +77,6 @@ struct RuntimeConfig {
      * kAutoShardId draws the next process-unique namespace.
      */
     uint32_t shardId = kAutoShardId;
-    /**
-     * Adaptive batching-depth controller: widen the hot window from
-     * "the one partition of the previous exchange" to the last D
-     * distinct partitions when the request ring shows queueing
-     * pressure (enqueue watermark above batchGrowOccupancy doubles D
-     * up to hotWindowMaxDepth), and decay D by one step on idle
-     * (watermark below batchDecayOccupancy). Off by default so every
-     * baseline keeps the binary same-partition heuristic.
-     */
-    bool adaptiveBatching = false;
-    uint32_t hotWindowMaxDepth = 8; //!< controller depth ceiling
-    double batchGrowOccupancy = 1.0 / 64;   //!< grow threshold
-    double batchDecayOccupancy = 1.0 / 1024; //!< decay threshold
     bool restartAgents = true;      //!< respawn crashed agents
     bool enforceMemoryProtection = true; //!< temporal mprotect
     bool restrictSyscalls = true;   //!< install seccomp policies
@@ -103,11 +90,12 @@ struct RuntimeConfig {
     size_t ringBytes = 8 << 20;     //!< per-direction ring capacity
     size_t dedupCacheEntries = 64;  //!< at-least-once LRU cache cap
     /**
-     * Pipeline-parallel execution: agents run on per-process virtual
-     * timelines, invoke() becomes wait(invokeAsync()), and calls to
-     * different partitions with disjoint object sets overlap in
-     * simulated time. Off (the default) keeps the classic fully
-     * serialized accounting — the Table 9 baseline numbers.
+     * Schedule of the single dispatch path. On: agents run on
+     * per-process virtual timelines and calls to different partitions
+     * with disjoint object sets overlap in simulated time. Off (the
+     * default): every call executes on the global clock and its
+     * ticket completes at issue — the fully serialized Table 9
+     * accounting. invoke() is wait(invokeAsync()) either way.
      */
     bool pipelineParallel = false;
     /** Max issued-but-unwaited async calls per partition before the
@@ -198,25 +186,27 @@ class FreePartRuntime
     bool hostAlive() const;
     fw::ObjectStore &hostStore() { return *hostStore_; }
 
-    /** Invoke a hooked framework API from the host program. Under
-     *  pipelineParallel this is wait(invokeAsync(...)). */
+    /** Invoke a hooked framework API from the host program and wait
+     *  for it: exactly wait(invokeAsync(...)). */
     ApiResult invoke(const std::string &api_name, ipc::ValueList args);
 
-    // ---- Asynchronous invocation (pipeline-parallel mode) ------------
+    // ---- Asynchronous invocation --------------------------------------
     //
     // Execution stays eager and single-threaded in program order, so
-    // results and object contents are byte-identical to the sync
-    // path; what overlaps is simulated *time*. Each call runs inside
-    // a kernel task bracket on its agent's virtual timeline, started
-    // at max(host clock, agent timeline, readiness of every ObjectRef
-    // argument). Args and results form the call's read/write set:
-    // both become ready at its completion, so conflicting calls chain
-    // while disjoint calls to different partitions overlap.
+    // results and object contents are byte-identical under either
+    // schedule; what overlaps under pipelineParallel is simulated
+    // *time*. There, each call runs inside a kernel task bracket on
+    // its agent's virtual timeline, started at max(host clock, agent
+    // timeline, readiness of every ObjectRef argument). Args and
+    // results form the call's read/write set: both become ready at
+    // its completion, so conflicting calls chain while disjoint calls
+    // to different partitions overlap.
 
     /**
-     * Issue a call without synchronizing the host clock to its
-     * completion. The host is only charged the dispatch cost. With
-     * the gate off this degrades to a completed synchronous call.
+     * Issue a call. Under pipelineParallel the host clock is not
+     * synchronized to the call's completion, only charged the issue
+     * cost; with the gate off the call runs serially on the global
+     * clock and the ticket is already complete.
      */
     CallTicket invokeAsync(const std::string &api_name,
                            ipc::ValueList args);
@@ -231,9 +221,18 @@ class FreePartRuntime
      * Peek a ticket's result without synchronizing the host clock
      * (execution is eager, so the result already exists). Used to
      * wire dataflow between async calls. nullptr for unknown/retired
-     * tickets; the pointer is invalidated by wait() and drainAll().
+     * tickets; the pointer is invalidated by wait(), detach() and
+     * drainAll().
      */
     const ApiResult *peekResult(CallTicket ticket) const;
+
+    /**
+     * Retire a ticket without synchronizing the host clock: the
+     * result moves out, the call keeps its place on the virtual
+     * timelines (drainAll() still settles it). For callers that, like
+     * the shard router, never wait on individual calls.
+     */
+    ApiResult detach(CallTicket ticket);
 
     /**
      * Full barrier: advance the host clock past every outstanding
@@ -284,9 +283,6 @@ class FreePartRuntime
      *  when the config asked for kAutoShardId). */
     uint32_t shardId() const { return shardId_; }
 
-    /** Current adaptive batching-depth (1 = binary heuristic). */
-    uint32_t hotWindowDepth() const { return hotDepth_; }
-
     /** Whether a speculation window is currently open (a deferred
      *  protection flip / speculative fetch has not reached its commit
      *  horizon yet). Always false with speculativeFlips off. */
@@ -334,7 +330,7 @@ class FreePartRuntime
     }
 
     /** Install (or clear, with nullptr) the boundary-crossing tap.
-     *  Both dispatch paths (sync and pipelined) fire it. */
+     *  The dispatcher fires it under either schedule. */
     void setBoundaryObserver(BoundaryObserver observer)
     {
         boundaryObserver_ = std::move(observer);
@@ -456,12 +452,11 @@ class FreePartRuntime
         bool forceFullCheckpoint = false;
     };
 
-    /** A call issued through invokeAsync, awaiting wait()/drainAll().
-     *  Execution already happened (eagerly); `readyAt` is where it
-     *  lands on the virtual timelines. */
+    /** A call issued through invokeAsync, awaiting wait(), detach()
+     *  or drainAll(). Execution already happened (eagerly); `readyAt`
+     *  is where it lands on the virtual timelines. */
     struct PendingCall {
         ApiResult result;
-        osim::SimTime issuedAt = 0;
         osim::SimTime readyAt = 0;
         uint32_t partition = kHostPartition;
     };
@@ -536,15 +531,7 @@ class FreePartRuntime
     void absorbDelivers(uint32_t partition,
                         const std::vector<ipc::Message> &batch);
     /** Forget the hot send window (the peers stopped busy-polling). */
-    void coolRpcWindow() { hotWindow_.clear(); }
-    /** Is this partition's agent still busy-polling? */
-    bool rpcWindowHot(uint32_t partition) const;
-    /** Record a completed exchange: the partition joins (or refreshes
-     *  its place in) the hot window. */
-    void warmRpcWindow(uint32_t partition);
-    /** Adaptive batching depth: grow under queueing pressure, decay
-     *  on idle (ring enqueue watermark vs the config thresholds). */
-    void adaptHotWindow(const ipc::Channel &channel);
+    void coolRpcWindow() { hotPartition_ = kHostPartition; }
     /** Restart (with backoff) until up, quarantined, or disallowed. */
     bool recoverAgent(uint32_t partition);
     /** Graceful degradation for calls on a quarantined partition. */
@@ -554,14 +541,32 @@ class FreePartRuntime
     /** Drop cached responses whose object refs no longer resolve. */
     void pruneSeqCache(Agent &agent);
 
-    /** The classic fully-serialized invoke path (gate off). */
-    ApiResult invokeSync(const std::string &api_name,
-                         ipc::ValueList args);
-    /** Pipelined dispatch: run the call in a task bracket on its
-     *  agent's timeline and fill `out` without syncing the host. */
-    void dispatchPipelined(uint64_t ticket_id,
-                           const std::string &api_name,
-                           ipc::ValueList args, PendingCall &out);
+    /** Typed per-call error naming the first Ref argument that no
+     *  longer resolves anywhere (lost with a crashed agent that had
+     *  neither a checkpoint of it nor a host copy); empty if none. */
+    std::string lostArgument(const ipc::ValueList &args) const;
+    /** Start horizon of a call: `floor` raised to the readiness of
+     *  every Ref argument (the object-dependency schedule). */
+    osim::SimTime argsReadyAt(const ipc::ValueList &args,
+                              osim::SimTime floor) const;
+    /**
+     * The prologue both schedules share: registry lookup, host-alive
+     * and lost-argument checks, state-machine entry (under
+     * pipelineParallel a pending agent-side flip first drains the
+     * timelines or opens a speculation window), and the partition
+     * choice with neutral-API inheritance. Returns nullptr with
+     * `result.error` set when the call cannot be dispatched.
+     */
+    const fw::ApiDescriptor *resolveCall(const std::string &api_name,
+                                         const ipc::ValueList &args,
+                                         uint32_t &partition,
+                                         ApiResult &result);
+    /** The one dispatch path: resolve the call and run it under the
+     *  configured schedule, filling `out`. Under pipelineParallel it
+     *  runs in a task bracket on its agent's timeline without syncing
+     *  the host; otherwise serially on the global clock. */
+    void dispatch(uint64_t ticket_id, const std::string &api_name,
+                  const ipc::ValueList &args, PendingCall &out);
     /** Would entering a new state flip protection on data living in
      *  an *agent* address space? (Host-only flips are applied by the
      *  dispatcher itself and need no barrier.) */
@@ -627,14 +632,11 @@ class FreePartRuntime
 
     FrameworkState state_ = FrameworkState::Initialization;
     uint32_t lastPartition = kHostPartition; //!< for neutral APIs
-    /** Partitions of the most recent ring exchanges, newest first. A
-     *  call to any partition in the window finds both sides still
-     *  busy-polling (the adaptive-spin hot window) and skips the
-     *  futex wakes. Depth 1 (the default) is the classic binary
-     *  same-partition heuristic; the adaptive batching controller
-     *  widens it under queueing pressure. */
-    std::deque<uint32_t> hotWindow_;
-    uint32_t hotDepth_ = 1; //!< current controller depth (1..max)
+    /** Partition of the most recent complete ring exchange
+     *  (kHostPartition = none). A call to it finds both sides still
+     *  busy-polling (the adaptive-spin hot window) and skips the futex
+     *  wakes. */
+    uint32_t hotPartition_ = kHostPartition;
     std::vector<ProtectedVar> vars;
     /** object id -> (home partition, kind). Mutable so homeOf() can
      *  lazily adopt host-store objects created outside invoke(). */

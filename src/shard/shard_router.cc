@@ -24,10 +24,6 @@ accumulate(core::RunStats &into, const core::RunStats &s)
     into.eagerCopies += s.eagerCopies;
     into.piggybackedFetches += s.piggybackedFetches;
     into.hotSends += s.hotSends;
-    into.hotWindowGrows += s.hotWindowGrows;
-    into.hotWindowDecays += s.hotWindowDecays;
-    into.hotWindowDepthPeak =
-        std::max(into.hotWindowDepthPeak, s.hotWindowDepthPeak);
     into.protectionFlips += s.protectionFlips;
     into.stateChanges += s.stateChanges;
     into.agentCrashes += s.agentCrashes;
@@ -1065,179 +1061,39 @@ RoutedCall
 ShardRouter::invoke(uint64_t routing_key, const std::string &api_name,
                     ipc::ValueList args, uint64_t dedup_token)
 {
-    ++stats_.routedCalls;
-    notePlacementCall(routing_key, args);
-    RoutedCall out;
-
-    // At-least-once dedup: a token already acknowledged is answered
-    // from the cluster cache — the client may resubmit after a shard
-    // failure without double-executing.
-    if (dedup_token != 0) {
-        if (const ipc::ValueList *hit = dedup_.find(dedup_token)) {
-            ++stats_.dedupHits;
-            out.result.ok = true;
-            out.result.values = *hit;
-            out.deduped = true;
-            out.shard = placeKey(routing_key);
-            return out;
-        }
-    }
-
-    // Failover loop: each iteration routes against the current ring;
-    // a shard that leaves the ring mid-call sends us back here with
-    // the keys already remapped to the survivors.
-    for (uint32_t attempt = 0; attempt <= config.shardCount;
-         ++attempt) {
-        uint32_t target = placeKey(routing_key);
-        if (target == kInvalidShard) {
-            out.result.error = "cluster: no live shards in the ring";
-            out.errorKind = RouteError::NoLiveShards;
-            ++stats_.callsFailed;
-            return out;
-        }
-
-        // Migrate-vs-proxy: a large input on another live, serving
-        // shard pulls the call to itself instead of moving its bytes.
-        uint32_t exec = target;
-        bool proxied = false;
-        size_t largest = config.migrationMaxBytes;
-        for (const ipc::Value &value : args) {
-            if (value.kind() != ipc::Value::Kind::Ref)
-                continue;
-            uint64_t id = value.asRef().objectId;
-            uint32_t owner = lookupShard(id);
-            if (owner == kInvalidShard || owner == target)
-                continue;
-            const Shard &shard = shards_.at(owner);
-            if (!shard.live || !ring_.contains(owner))
-                continue;
-            core::FreePartRuntime &rt = *shard.runtime;
-            size_t bytes =
-                rt.storeOf(rt.homeOf(id)).get(id).byteLen;
-            if (bytes > largest) {
-                largest = bytes;
-                exec = owner;
-                proxied = true;
-            }
-        }
-
-        // Stage inputs onto the executing shard: local refs stay put,
-        // remote ones migrate, dead owners fall back to replicas.
-        bool lost = false;
-        bool cross = proxied;
-        for (const ipc::Value &value : args) {
-            if (value.kind() != ipc::Value::Kind::Ref)
-                continue;
-            uint64_t id = value.asRef().objectId;
-            uint32_t owner = lookupShard(id);
-            if (owner == exec) {
-                ++stats_.localInputs;
-                if (proxied)
-                    stats_.proxiedBytes += objectBytesOf(id);
-                continue;
-            }
-            if (owner != kInvalidShard && shards_.at(owner).live) {
-                migrateObject(owner, exec, id);
-                cross = true;
-                continue;
-            }
-            if (restoreReplica(exec, id)) {
-                cross = true;
-                continue;
-            }
-            out.result = core::ApiResult();
-            out.result.error =
-                "cluster: object " + std::to_string(id) +
-                " lost with its shard (no replica)";
-            out.errorKind = RouteError::ObjectLost;
-            out.lostObjectId = id;
-            ++stats_.lostObjects;
-            lost = true;
-            break;
-        }
-        if (lost) {
-            out.shard = exec;
-            ++stats_.callsFailed;
-            return out;
-        }
-
-        Shard &shard = shards_.at(exec);
-        core::ApiResult result;
-        if (config.runtime.pipelineParallel) {
-            // Async-per-shard: issue without waiting so consecutive
-            // calls landing on the same shard overlap on its agent
-            // timelines. invoke() would sync the shard's host clock
-            // per call and serialize everything the ring co-located.
-            // args stays intact: a failed call may retry on the next
-            // ring owner after this shard leaves the ring.
-            core::CallTicket ticket =
-                shard.runtime->invokeAsync(api_name, args);
-            if (const core::ApiResult *peeked =
-                    shard.runtime->peekResult(ticket))
-                result = *peeked;
-            else
-                result.error = "async ticket vanished";
-        } else {
-            result = shard.runtime->invoke(api_name, args);
-        }
-        ++shard.calls;
-
-        if (result.ok) {
-            noteResults(exec, routing_key, result.values);
-            if (dedup_token != 0)
-                dedup_.insert(dedup_token, result.values);
-            ++stats_.callsOk;
-            if (proxied)
-                ++stats_.proxiedCalls;
-            if (cross)
-                ++stats_.crossShardCalls;
-            out.result = std::move(result);
-            out.shard = exec;
-            out.proxied = proxied;
-            return out;
-        }
-
-        // Health integration: host death kills the shard, quarantine
-        // pressure drains it. Either way the ring loses its vnodes
-        // and this call retries on the new owner of the key.
-        if (checkShardHealth(exec)) {
-            ++out.failovers;
-            ++stats_.failovers;
-            continue;
-        }
-        out.result = std::move(result);
-        out.shard = exec;
-        out.proxied = proxied;
-        out.errorKind = RouteError::ExecutionFailed;
-        ++stats_.callsFailed;
-        return out;
-    }
-
-    if (out.result.error.empty())
-        out.result.error = "cluster: failover budget exhausted";
-    out.errorKind = RouteError::RetriesExhausted;
-    ++stats_.callsFailed;
-    return out;
+    return route(routing_key, api_name, args, dedup_token, nullptr);
 }
 
 RoutedCall
 ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
                       ipc::ValueList args, const CallOptions &opts)
 {
+    return route(routing_key, api_name, args, opts.dedupToken, &opts);
+}
+
+RoutedCall
+ShardRouter::route(uint64_t routing_key, const std::string &api_name,
+                   const ipc::ValueList &args, uint64_t dedup_token,
+                   const CallOptions *open)
+{
     ++stats_.routedCalls;
     notePlacementCall(routing_key, args);
-    ++openLoopCalls_;
-    applyChaosEvents();
+    const osim::SimTime arrival = open ? open->arrival : 0;
+    osim::SimTime deadline = 0;
+    if (open) {
+        ++openLoopCalls_;
+        applyChaosEvents();
+        healthTick(arrival);
+        deadline = open->deadline != 0 ? open->deadline
+                                       : config.defaultDeadline;
+    }
 
-    const osim::SimTime arrival = opts.arrival;
-    healthTick(arrival);
-
+    // At-least-once dedup: a token already acknowledged is answered
+    // from the cluster cache — the client may resubmit after a shard
+    // failure without double-executing.
     RoutedCall out;
-    osim::SimTime deadline =
-        opts.deadline != 0 ? opts.deadline : config.defaultDeadline;
-
-    if (opts.dedupToken != 0) {
-        if (const ipc::ValueList *hit = dedup_.find(opts.dedupToken)) {
+    if (dedup_token != 0) {
+        if (const ipc::ValueList *hit = dedup_.find(dedup_token)) {
             ++stats_.dedupHits;
             out.result.ok = true;
             out.result.values = *hit;
@@ -1251,9 +1107,14 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         return std::max({busyUntil_[s], stalledUntil_[s], arrival});
     };
 
-    uint32_t budget = std::max<uint32_t>(config.retryBudget, 1);
+    // Each attempt routes against the current ring; a shard that
+    // leaves the ring mid-call sends us back here with the keys
+    // already remapped to the survivors. Closed-loop calls retry only
+    // then; open-loop calls spend their retry budget on any failure.
+    uint32_t budget = open ? std::max<uint32_t>(config.retryBudget, 1)
+                           : config.shardCount + 1;
     for (uint32_t attempt = 0; attempt < budget; ++attempt) {
-        if (attempt > 0)
+        if (open && attempt > 0)
             ++stats_.retriesSpent;
         uint32_t target = placeKey(routing_key);
         if (target == kInvalidShard) {
@@ -1265,7 +1126,7 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
 
         // Injected admission chaos against the ring owner.
         double slowFactor = 1.0;
-        if (chaos_) {
+        if (open && chaos_) {
             osim::FaultFire fire = chaos_->queryFire(
                 osim::FaultPoint::ShardAdmission,
                 static_cast<osim::Pid>(target + 1));
@@ -1299,7 +1160,7 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         // answer from the primary later collapses in the dedup cache.
         uint32_t exec = target;
         bool hedged = false;
-        if (config.hedgeRequests && config.replicateObjects &&
+        if (open && config.hedgeRequests && config.replicateObjects &&
             (stalledAt(target, arrival) ||
              monitor_.classify(target) != ShardHealth::Healthy)) {
             uint32_t alt = pickAlternative(target);
@@ -1309,9 +1170,10 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
             }
         }
 
+        // Migrate-vs-proxy: a large input on another live, serving
+        // shard pulls the call to itself instead of moving its bytes.
         bool proxied = false;
         if (!hedged) {
-            // Migrate-vs-proxy, as on the closed-loop path.
             size_t largest = config.migrationMaxBytes;
             for (const ipc::Value &value : args) {
                 if (value.kind() != ipc::Value::Kind::Ref)
@@ -1336,59 +1198,68 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
 
         // Admission control before any data moves: the call would
         // start after the queue ahead of it and any injected stall.
-        osim::SimTime start = startAt(exec);
-        osim::SimTime wait = start - arrival;
-        osim::SimTime serviceEst =
-            std::max(monitor_.latencyEwma(exec),
-                     config.health.latencyBaselineFloor);
-        uint64_t depth = wait / std::max<osim::SimTime>(serviceEst, 1);
-        stats_.queueDepthPeak = std::max(stats_.queueDepthPeak, depth);
-        bool infeasible =
-            deadline != 0 && wait + serviceEst > deadline;
+        osim::SimTime start = 0;
+        osim::SimTime wait = 0;
         bool degraded = false;
-        if (depth > config.maxQueueDepth || infeasible) {
-            // Degraded fallback: serve from the least-loaded healthy
-            // shard via stale replica reads rather than queueing
-            // without bound — shed only when no shard can take it.
-            uint32_t alt =
-                (config.degradedReads && config.replicateObjects)
-                    ? pickAlternative(exec)
-                    : kInvalidShard;
-            bool altOk = false;
-            if (alt != kInvalidShard) {
-                osim::SimTime altWait = startAt(alt) - arrival;
-                uint64_t altDepth =
-                    altWait / std::max<osim::SimTime>(serviceEst, 1);
-                altOk = altDepth <= config.maxQueueDepth &&
-                        (deadline == 0 ||
-                         altWait + serviceEst <= deadline);
-            }
-            if (altOk) {
+        if (open) {
+            start = startAt(exec);
+            wait = start - arrival;
+            osim::SimTime serviceEst =
+                std::max(monitor_.latencyEwma(exec),
+                         config.health.latencyBaselineFloor);
+            uint64_t depth =
+                wait / std::max<osim::SimTime>(serviceEst, 1);
+            stats_.queueDepthPeak =
+                std::max(stats_.queueDepthPeak, depth);
+            bool infeasible =
+                deadline != 0 && wait + serviceEst > deadline;
+            if (depth > config.maxQueueDepth || infeasible) {
+                // Degraded fallback: serve from the least-loaded
+                // healthy shard via stale replica reads rather than
+                // queueing without bound — shed only when no shard
+                // can take it.
+                uint32_t alt =
+                    (config.degradedReads && config.replicateObjects)
+                        ? pickAlternative(exec)
+                        : kInvalidShard;
+                bool altOk = false;
+                if (alt != kInvalidShard) {
+                    osim::SimTime altWait = startAt(alt) - arrival;
+                    uint64_t altDepth =
+                        altWait /
+                        std::max<osim::SimTime>(serviceEst, 1);
+                    altOk = altDepth <= config.maxQueueDepth &&
+                            (deadline == 0 ||
+                             altWait + serviceEst <= deadline);
+                }
+                if (!altOk) {
+                    out.result = core::ApiResult();
+                    out.result.error =
+                        infeasible
+                            ? "cluster: deadline infeasible at admission"
+                            : "cluster: shard admission queue full";
+                    out.errorKind = infeasible
+                                        ? RouteError::DeadlineExceeded
+                                        : RouteError::Overloaded;
+                    out.shed = true;
+                    out.shard = exec;
+                    out.queueWait = wait;
+                    ++stats_.shedCalls;
+                    ++stats_.callsFailed;
+                    return out;
+                }
                 exec = alt;
                 degraded = true;
                 proxied = false;
                 start = startAt(exec);
                 wait = start - arrival;
-            } else {
-                out.result = core::ApiResult();
-                out.result.error =
-                    infeasible
-                        ? "cluster: deadline infeasible at admission"
-                        : "cluster: shard admission queue full";
-                out.errorKind = infeasible
-                                    ? RouteError::DeadlineExceeded
-                                    : RouteError::Overloaded;
-                out.shed = true;
-                out.shard = exec;
-                out.queueWait = wait;
-                ++stats_.shedCalls;
-                ++stats_.callsFailed;
-                return out;
             }
         }
 
-        // Stage inputs onto the executing shard. Hedged/degraded
-        // attempts read replica snapshots without moving authority.
+        // Stage inputs onto the executing shard: local refs stay put,
+        // remote ones migrate, dead owners fall back to replicas.
+        // Hedged/degraded attempts read replica snapshots without
+        // moving authority.
         Shard &shard = shards_.at(exec);
         osim::SimTime before = shard.kernel->now();
         bool staged = true;
@@ -1434,18 +1305,17 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
             return out;
         }
 
-        core::ApiResult result;
-        if (config.runtime.pipelineParallel) {
-            core::CallTicket ticket =
-                shard.runtime->invokeAsync(api_name, args);
-            if (const core::ApiResult *peeked =
-                    shard.runtime->peekResult(ticket))
-                result = *peeked;
-            else
-                result.error = "async ticket vanished";
-        } else {
-            result = shard.runtime->invoke(api_name, args);
-        }
+        // Async-per-shard under pipelineParallel: issue without
+        // waiting, so consecutive calls landing on the same shard
+        // overlap on its agent timelines, and retire the ticket at
+        // once without syncing the shard's host clock (drainAll
+        // settles the timelines). args stays intact: a failed call
+        // may retry on the next ring owner.
+        core::ApiResult result =
+            config.runtime.pipelineParallel
+                ? shard.runtime->detach(
+                      shard.runtime->invokeAsync(api_name, args))
+                : shard.runtime->invoke(api_name, args);
         osim::SimTime span = shard.kernel->now() - before;
         if (slowFactor > 1.0 && exec == target && span > 0) {
             // The injected slow-down stretches everything this call
@@ -1458,13 +1328,15 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         ++shard.calls;
 
         if (result.ok) {
-            busyUntil_[exec] = start + span;
-            out.latency = busyUntil_[exec] - arrival;
-            out.queueWait = wait;
-            monitor_.recordSuccess(exec, arrival, span);
+            if (open) {
+                busyUntil_[exec] = start + span;
+                out.latency = busyUntil_[exec] - arrival;
+                out.queueWait = wait;
+                monitor_.recordSuccess(exec, arrival, span);
+            }
             noteResults(exec, routing_key, result.values);
-            if (opts.dedupToken != 0)
-                dedup_.insert(opts.dedupToken, result.values);
+            if (dedup_token != 0)
+                dedup_.insert(dedup_token, result.values);
             ++stats_.callsOk;
             if (proxied)
                 ++stats_.proxiedCalls;
@@ -1487,19 +1359,32 @@ ShardRouter::invokeAt(uint64_t routing_key, const std::string &api_name,
         }
 
         // Failure: the shard still ran (and burned) simulated time.
-        busyUntil_[exec] = start + span;
-        monitor_.recordFailure(exec, arrival);
-        out.result = std::move(result);
-        out.shard = exec;
-        out.errorKind = RouteError::ExecutionFailed;
+        if (open) {
+            busyUntil_[exec] = start + span;
+            monitor_.recordFailure(exec, arrival);
+        }
+        // Health integration: host death kills the shard, quarantine
+        // pressure drains it. Either way the ring loses its vnodes
+        // and the next attempt routes to the key's new owner.
         if (checkShardHealth(exec)) {
             ++out.failovers;
             ++stats_.failovers;
+            if (!open)
+                continue;
+        }
+        out.result = std::move(result);
+        out.shard = exec;
+        out.errorKind = RouteError::ExecutionFailed;
+        if (!open) {
+            out.proxied = proxied;
+            ++stats_.callsFailed;
+            return out;
         }
     }
 
     if (out.result.error.empty())
-        out.result.error = "cluster: retry budget exhausted";
+        out.result.error = open ? "cluster: retry budget exhausted"
+                                : "cluster: failover budget exhausted";
     out.errorKind = RouteError::RetriesExhausted;
     ++stats_.callsFailed;
     return out;

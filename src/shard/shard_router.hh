@@ -96,7 +96,8 @@ struct ShardRouterConfig {
     osim::SimTime defaultDeadline = 0;
 
     /** Attempts per invokeAt call across failovers and chaos drops
-     *  (the legacy invoke path keeps its shardCount-bounded loop). */
+     *  (closed-loop invoke calls retry only after a failover, at most
+     *  shardCount + 1 attempts). */
     uint32_t retryBudget = 3;
 
     /** When the primary turns suspect, run the attempt on a healthy
@@ -205,24 +206,25 @@ class ShardRouter
     // ---- Client surface ----------------------------------------------
 
     /**
-     * Route one API call. The routing key (a session/object grouping
-     * chosen by the caller) picks the executing shard via the ring;
-     * ref arguments are resolved cluster-wide and migrated or proxied
-     * as needed. A nonzero dedup_token makes the call at-least-once
-     * across failovers: a token already acknowledged is answered from
-     * the cluster dedup cache.
+     * Route one API call (closed loop). The routing key (a
+     * session/object grouping chosen by the caller) picks the
+     * executing shard via the ring; ref arguments are resolved
+     * cluster-wide and migrated or proxied as needed. A nonzero
+     * dedup_token makes the call at-least-once across failovers: a
+     * token already acknowledged is answered from the cluster dedup
+     * cache. The call retries only when its shard leaves the ring.
      */
     RoutedCall invoke(uint64_t routing_key, const std::string &api_name,
                       ipc::ValueList args, uint64_t dedup_token = 0);
 
     /**
-     * Open-loop variant: the call *arrives* at opts.arrival on a
-     * shared timeline and queues behind the target shard's busy
-     * horizon. This is where the chaos-era machinery lives — health
-     * probing, deadline-aware budgeted retries, one hedged attempt
-     * when the primary is suspect, and queue-depth / deadline
-     * admission control with degraded fallback. Arrivals must be
-     * nondecreasing across calls.
+     * Open-loop entry into the same routing body: the call *arrives*
+     * at opts.arrival on a shared timeline and queues behind the
+     * target shard's busy horizon. Only open-loop calls run the
+     * chaos-era machinery — health probing, deadline-aware budgeted
+     * retries, one hedged attempt when the primary is suspect, and
+     * queue-depth / deadline admission control with degraded
+     * fallback. Arrivals must be nondecreasing across calls.
      */
     RoutedCall invokeAt(uint64_t routing_key,
                         const std::string &api_name,
@@ -466,7 +468,20 @@ class ShardRouter
      *  (the caller should fail over). */
     bool checkShardHealth(uint32_t shard);
 
-    // ---- invokeAt (open-loop / chaos) machinery ----
+    /**
+     * The one routing body behind invoke (closed loop, `open` null)
+     * and invokeAt (open loop): dedup lookup, migrate-vs-proxy,
+     * input staging, shard execution and success bookkeeping. Only
+     * open-loop calls run chaos admission, hedging, admission control
+     * with degraded reads, busy horizons, the health monitor and
+     * deadlines, and spend retryBudget on any failure; closed-loop
+     * calls retry only after checkShardHealth removed the shard.
+     */
+    RoutedCall route(uint64_t routing_key, const std::string &api_name,
+                     const ipc::ValueList &args, uint64_t dedup_token,
+                     const CallOptions *open);
+
+    // ---- Open-loop (chaos) machinery ----
 
     /** Fire chaos membership events due at the current call count. */
     void applyChaosEvents();

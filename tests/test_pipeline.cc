@@ -139,6 +139,28 @@ TEST(Pipeline, WaitAndPeekTicketSemantics)
     EXPECT_NE(again.error.find("ticket"), std::string::npos);
 }
 
+TEST(Pipeline, DetachRetiresWithoutSyncingTheHost)
+{
+    RuntimeConfig config;
+    config.pipelineParallel = true;
+    auto runtime = env().makeRuntime(config);
+    CallTicket ticket = runtime->invokeAsync("cv2.imread",
+                                             {imreadArg()});
+    osim::SimTime issued = env().kernel->now();
+    ASSERT_GT(env().kernel->maxTimeline(), issued);
+
+    ApiResult detached = runtime->detach(ticket);
+    EXPECT_TRUE(detached.ok) << detached.error;
+    EXPECT_EQ(env().kernel->now(), issued);
+    EXPECT_EQ(runtime->pendingAsyncCalls(), 0u);
+    EXPECT_FALSE(runtime->detach(ticket).ok);
+
+    // The call still occupies its timeline until a drain settles it.
+    osim::SimTime horizon = env().kernel->maxTimeline();
+    runtime->drainAll();
+    EXPECT_EQ(env().kernel->now(), horizon);
+}
+
 TEST(Pipeline, GateOffAsyncCompletesImmediately)
 {
     auto runtime = env().makeRuntime();
