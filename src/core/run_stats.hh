@@ -47,6 +47,8 @@ struct RunStats {
     uint64_t fullCheckpoints = 0;       //!< full-store generations
     uint64_t incrementalCheckpoints = 0; //!< dirty-epoch generations
     uint64_t checkpointBytesSaved = 0;  //!< serialized checkpoint bytes
+    uint64_t checkpointBytesShared = 0; //!< of those, referenced from
+                                        //!< the chain, not copied
     uint64_t checkpointBytesRestored = 0; //!< bytes restored on respawn
     uint64_t checkpointFallbacks = 0;   //!< corrupt gens skipped at restore
     uint64_t standbyPromotions = 0;     //!< restarts served by a warm standby

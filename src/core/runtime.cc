@@ -370,47 +370,77 @@ FreePartRuntime::hasObject(uint64_t object_id) const
     return false;
 }
 
-const FreePartRuntime::CheckpointEntry *
-FreePartRuntime::checkpointEntryFor(const Agent &agent,
-                                    uint64_t id) const
+bool
+FreePartRuntime::CheckpointEntry::intact() const
 {
-    // Mirror of restartAgent's restore selection: the newest
-    // candidate generation whose whole chain (itself, the
-    // incrementals below it, and the full base they extend) passes
-    // checksum verification is authoritative. Its liveIds decide
-    // whether the object exists at all — a deleted object must not
-    // resurrect from an older generation — and the newest copy inside
-    // the chain is the one a restore would materialize.
-    for (size_t i = 0; i < agent.checkpoints.size(); ++i) {
+    if (!verified)
+        verified = util::fnv1a64(*bytes) == checksum;
+    return *verified;
+}
+
+std::optional<FreePartRuntime::RestoreChain>
+FreePartRuntime::restorableChain(const Agent &agent,
+                                 size_t *skipped) const
+{
+    // A candidate generation is restorable when its whole chain —
+    // itself, the incrementals below it, and the full generation
+    // they extend — passes checksum verification. Each entry hashes
+    // at most once (intact() remembers), so repeated lookups only
+    // walk the chain.
+    const std::deque<CheckpointGen> &gens = agent.checkpoints;
+    for (size_t i = 0; i < gens.size(); ++i) {
         size_t base = i;
-        while (base < agent.checkpoints.size() &&
-               !agent.checkpoints[base].full)
+        while (base < gens.size() && !gens[base].full)
             ++base;
-        bool intact = base < agent.checkpoints.size();
+        bool intact = base < gens.size();
         for (size_t j = i; intact && j <= base; ++j) {
-            for (const auto &[oid, entry] :
-                 agent.checkpoints[j].objects) {
-                if (util::fnv1a64(entry.bytes) != entry.checksum) {
+            for (const auto &[id, entry] : gens[j].objects) {
+                if (!entry.intact()) {
                     intact = false;
                     break;
                 }
             }
         }
-        if (!intact)
-            continue; // corrupt chain: fall back to an older one
-        const CheckpointGen &candidate = agent.checkpoints[i];
-        if (std::find(candidate.liveIds.begin(),
-                      candidate.liveIds.end(),
-                      id) == candidate.liveIds.end())
-            return nullptr; // authoritative snapshot: not live
-        for (size_t j = i; j <= base; ++j) {
-            auto it = agent.checkpoints[j].objects.find(id);
-            if (it != agent.checkpoints[j].objects.end())
-                return &it->second;
-        }
-        return nullptr; // live at the snapshot but never captured
+        if (intact)
+            return RestoreChain{i, base};
+        if (skipped)
+            ++*skipped;
     }
-    return nullptr;
+    return std::nullopt;
+}
+
+const FreePartRuntime::CheckpointEntry *
+FreePartRuntime::checkpointEntryFor(const Agent &agent,
+                                    uint64_t id) const
+{
+    // The restore path's selection: the chosen candidate's liveIds
+    // decide whether the object exists at all — a deleted object must
+    // not resurrect from an older generation — and the newest copy
+    // inside the chain is the one a restore would materialize.
+    std::optional<RestoreChain> chain = restorableChain(agent);
+    if (!chain)
+        return nullptr;
+    const CheckpointGen &candidate = agent.checkpoints[chain->newest];
+    if (std::find(candidate.liveIds.begin(), candidate.liveIds.end(),
+                  id) == candidate.liveIds.end())
+        return nullptr; // authoritative snapshot: not live
+    for (size_t j = chain->newest; j <= chain->base; ++j) {
+        auto it = agent.checkpoints[j].objects.find(id);
+        if (it != agent.checkpoints[j].objects.end())
+            return &it->second;
+    }
+    return nullptr; // live at the snapshot but never captured
+}
+
+void
+FreePartRuntime::scrubCheckpoints(Agent &agent, uint64_t id)
+{
+    for (CheckpointGen &gen : agent.checkpoints) {
+        gen.objects.erase(id);
+        gen.liveIds.erase(
+            std::remove(gen.liveIds.begin(), gen.liveIds.end(), id),
+            gen.liveIds.end());
+    }
 }
 
 bool
@@ -421,10 +451,10 @@ FreePartRuntime::restoreFromCheckpoint(uint32_t partition,
     const CheckpointEntry *entry = checkpointEntryFor(agent, id);
     if (!entry)
         return false;
-    agent.store->materialize(id, entry->kind, entry->bytes,
+    agent.store->materialize(id, entry->kind, *entry->bytes,
                              entry->label);
     objectHome[id] = {partition, entry->kind};
-    stats_.checkpointBytesRestored += entry->bytes.size();
+    stats_.checkpointBytesRestored += entry->bytes->size();
     ++stats_.checkpointSourcedRestores;
     return true;
 }
@@ -1099,12 +1129,7 @@ FreePartRuntime::squashSpeculativeCall(
             // A checkpoint cut mid-speculation may hold the minted
             // object; scrub it so a post-crash restore cannot
             // resurrect a squashed copy under a re-minted id.
-            for (CheckpointGen &gen : agent.checkpoints) {
-                gen.objects.erase(id);
-                gen.liveIds.erase(std::remove(gen.liveIds.begin(),
-                                              gen.liveIds.end(), id),
-                                  gen.liveIds.end());
-            }
+            scrubCheckpoints(agent, id);
         }
     }
     idCounter = pre_id;
@@ -1326,28 +1351,7 @@ FreePartRuntime::absorbDelivers(uint32_t partition,
 void
 FreePartRuntime::evictObject(uint64_t object_id)
 {
-    // Settle any in-flight producer first: the cluster layer is about
-    // to serialize the bytes out of this runtime.
-    syncObjectReady(object_id);
-    objectReadyAt_.erase(object_id);
-    hostStore_->erase(object_id);
-    objectHome.erase(object_id);
-    for (Agent &agent : agents) {
-        agent.store->erase(object_id);
-        // Scrub checkpoint generations too: a post-crash restore must
-        // not resurrect a stale copy of data that now lives (and
-        // mutates) in another runtime.
-        for (CheckpointGen &gen : agent.checkpoints) {
-            gen.objects.erase(object_id);
-            gen.liveIds.erase(std::remove(gen.liveIds.begin(),
-                                          gen.liveIds.end(),
-                                          object_id),
-                              gen.liveIds.end());
-        }
-        // Cached responses referencing the evicted object would hand
-        // out a dangling ref on a dedup hit.
-        pruneSeqCache(agent);
-    }
+    evictObjects({object_id});
 }
 
 size_t
@@ -1357,22 +1361,22 @@ FreePartRuntime::evictObjects(const std::vector<uint64_t> &object_ids)
     for (uint64_t id : object_ids) {
         if (hasObject(id))
             ++dropped;
+        // Settle any in-flight producer first: the cluster layer may
+        // be about to serialize the bytes out of this runtime.
         syncObjectReady(id);
         objectReadyAt_.erase(id);
         hostStore_->erase(id);
         objectHome.erase(id);
         for (Agent &agent : agents) {
             agent.store->erase(id);
-            for (CheckpointGen &gen : agent.checkpoints) {
-                gen.objects.erase(id);
-                gen.liveIds.erase(std::remove(gen.liveIds.begin(),
-                                              gen.liveIds.end(), id),
-                                  gen.liveIds.end());
-            }
+            // A post-crash restore must not resurrect a stale copy of
+            // data that now lives (and mutates) elsewhere.
+            scrubCheckpoints(agent, id);
         }
     }
-    // One dedup-cache sweep per agent covers every erased id; the
-    // per-object evictObject path pays this per call.
+    // Cached responses referencing an evicted object would hand out a
+    // dangling ref on a dedup hit; one sweep per agent covers every
+    // erased id.
     for (Agent &agent : agents)
         pruneSeqCache(agent);
     return dropped;
@@ -1646,25 +1650,65 @@ FreePartRuntime::checkpointAgent(uint32_t partition)
     // Snapshot the epoch BEFORE serializing: a write racing the
     // checkpoint would then look dirty to the next one (safe side).
     uint64_t snapshotEpoch = agent.store->writeEpoch();
+    // A full generation over the same store lineage (not the forced
+    // one after a restore) shares the bytes of clean objects with the
+    // current chain instead of serializing them again: an object not
+    // written since the watermark still holds exactly the bytes its
+    // newest chain copy captured — the invariant incrementals rely on.
+    bool share = full && !agent.forceFullCheckpoint;
+    auto chainCopy = [&agent](uint64_t id) -> const CheckpointEntry * {
+        for (const CheckpointGen &older : agent.checkpoints) {
+            auto it = older.objects.find(id);
+            if (it != older.objects.end())
+                return &it->second;
+            if (older.full)
+                break; // the current chain ends at its full base
+        }
+        return nullptr;
+    };
+    osim::FaultInjector *corrupter =
+        action == osim::FaultAction::Corrupt ? kernel_.faultInjector()
+                                             : nullptr;
 
     CheckpointGen gen;
     gen.full = full;
     gen.liveIds = agent.store->ids();
     for (uint64_t id : gen.liveIds) {
         const fw::StoredObject &obj = agent.store->get(id);
-        if (!full && obj.dirtyEpoch <= agent.lastCheckpointEpoch)
+        bool clean = obj.dirtyEpoch <= agent.lastCheckpointEpoch;
+        if (!full && clean)
             continue; // unchanged since the watermark: skip
         CheckpointEntry entry;
         entry.kind = obj.kind;
-        entry.bytes = agent.store->serialize(id);
         entry.label = obj.label;
-        // Checksum before any corruption: bit-rot after the write is
-        // exactly what the restore-time verification must catch.
-        entry.checksum = util::fnv1a64(entry.bytes);
-        stats_.checkpointBytesSaved += entry.bytes.size();
-        if (action == osim::FaultAction::Corrupt &&
-            kernel_.faultInjector() && !entry.bytes.empty())
-            kernel_.faultInjector()->corrupt(entry.bytes);
+        const CheckpointEntry *prior =
+            share && clean ? chainCopy(id) : nullptr;
+        if (prior && !prior->intact())
+            prior = nullptr; // a corrupt copy is never propagated
+        if (prior) {
+            entry.bytes = prior->bytes;
+            entry.checksum = prior->checksum;
+            entry.verified = true; // same bytes, same checksum
+        } else {
+            entry.bytes = std::make_shared<const std::vector<uint8_t>>(
+                agent.store->serialize(id));
+            // Checksum before any corruption: bit-rot after the write
+            // is exactly what the restore-time verification must
+            // catch.
+            entry.checksum = util::fnv1a64(*entry.bytes);
+        }
+        stats_.checkpointBytesSaved += entry.bytes->size();
+        if (corrupter && !entry.bytes->empty()) {
+            // Corrupt a private clone: an older generation may share
+            // the buffer and must keep its intact copy.
+            std::vector<uint8_t> clone = *entry.bytes;
+            corrupter->corrupt(clone);
+            entry.bytes = std::make_shared<const std::vector<uint8_t>>(
+                std::move(clone));
+            entry.verified.reset();
+        } else if (prior) {
+            stats_.checkpointBytesShared += entry.bytes->size();
+        }
         gen.objects.emplace(id, std::move(entry));
     }
     agent.checkpoints.push_front(std::move(gen));
@@ -1746,59 +1790,39 @@ FreePartRuntime::restartAgent(uint32_t partition)
         up = false;
     }
     if (up) {
-        // Restore from the newest restorable checkpoint. A candidate
-        // generation is restorable when its whole chain — itself,
-        // the incrementals below it, and the full generation they
-        // extend — passes checksum verification; the reconstruction
-        // overlays the chain oldest-to-newest and keeps only the ids
-        // live at the candidate's snapshot. A candidate with any
-        // corrupt link is skipped (one fallback) in favor of the next
-        // older one. Values newer than the chosen checkpoint are
-        // intentionally NOT restored (§6 "Restoring States of
-        // Crashed Process").
-        for (size_t i = 0; i < agent.checkpoints.size(); ++i) {
-            // Chain of candidate i: indices i..base where base is the
-            // nearest full generation at or below it.
-            size_t base = i;
-            while (base < agent.checkpoints.size() &&
-                   !agent.checkpoints[base].full)
-                ++base;
-            bool intact = base < agent.checkpoints.size();
-            for (size_t j = i; intact && j <= base; ++j) {
-                for (const auto &[id, entry] :
-                     agent.checkpoints[j].objects) {
-                    if (util::fnv1a64(entry.bytes) != entry.checksum) {
-                        intact = false;
-                        break;
-                    }
-                }
-            }
-            if (!intact) {
-                ++stats_.checkpointFallbacks;
-                util::inform("runtime: corrupt checkpoint chain for "
-                             "partition %u skipped at restore",
-                             partition);
-                continue;
-            }
-            // Overlay oldest-to-newest: the newest copy of each
-            // object inside the chain wins.
+        // Restore from the newest restorable checkpoint; a candidate
+        // with any corrupt link is skipped (one fallback) in favor of
+        // the next older one. The reconstruction overlays the chain
+        // oldest-to-newest and keeps only the ids live at the
+        // candidate's snapshot. Values newer than the chosen
+        // checkpoint are intentionally NOT restored (§6 "Restoring
+        // States of Crashed Process").
+        size_t skipped = 0;
+        std::optional<RestoreChain> chain =
+            restorableChain(agent, &skipped);
+        stats_.checkpointFallbacks += skipped;
+        for (size_t k = 0; k < skipped; ++k)
+            util::inform("runtime: corrupt checkpoint chain for "
+                         "partition %u skipped at restore",
+                         partition);
+        if (chain) {
+            // The newest copy of each object inside the chain wins.
             std::map<uint64_t, const CheckpointEntry *> merged;
-            for (size_t j = base + 1; j-- > i;) {
+            for (size_t j = chain->base + 1; j-- > chain->newest;) {
                 for (const auto &[id, entry] :
                      agent.checkpoints[j].objects)
                     merged[id] = &entry;
             }
-            for (uint64_t id : agent.checkpoints[i].liveIds) {
+            for (uint64_t id : agent.checkpoints[chain->newest].liveIds) {
                 auto it = merged.find(id);
                 if (it == merged.end())
                     continue;
                 const CheckpointEntry &entry = *it->second;
-                agent.store->materialize(id, entry.kind, entry.bytes,
+                agent.store->materialize(id, entry.kind, *entry.bytes,
                                          entry.label);
                 objectHome[id] = {partition, entry.kind};
-                stats_.checkpointBytesRestored += entry.bytes.size();
+                stats_.checkpointBytesRestored += entry.bytes->size();
             }
-            break;
         }
     }
     // Objects whose authoritative copy died with the old incarnation
@@ -1834,9 +1858,9 @@ FreePartRuntime::restartAgent(uint32_t partition)
         // matching what hasObject() now promises.
         if (const CheckpointEntry *entry =
                 checkpointEntryFor(agent, id)) {
-            agent.store->materialize(id, entry->kind, entry->bytes,
+            agent.store->materialize(id, entry->kind, *entry->bytes,
                                      entry->label);
-            stats_.checkpointBytesRestored += entry->bytes.size();
+            stats_.checkpointBytesRestored += entry->bytes->size();
             ++stats_.checkpointSourcedRestores;
             continue;
         }

@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -399,12 +400,20 @@ class FreePartRuntime
     osim::SimTime sessionEpochResetCost() const;
 
   private:
-    /** One checksummed serialized object inside a checkpoint. */
+    /** One checksummed serialized object inside a checkpoint. The
+     *  bytes are immutable, so generations may share one buffer and
+     *  the checksum verdict, once computed, holds for good. */
     struct CheckpointEntry {
         fw::ObjKind kind = fw::ObjKind::Bytes;
-        std::vector<uint8_t> bytes;
+        std::shared_ptr<const std::vector<uint8_t>> bytes;
         uint64_t checksum = 0;
         std::string label;
+        /** Result of checking bytes against checksum; empty until
+         *  the first intact() call. */
+        mutable std::optional<bool> verified;
+
+        /** Do the bytes still match their checksum? Hashes once. */
+        bool intact() const;
     };
 
     /** One checkpoint generation: object id -> entry. A full
@@ -607,11 +616,26 @@ class FreePartRuntime
     /** Mark refs in `values` as produced/settled at `ready`. */
     void noteObjectsReady(const ipc::ValueList &values,
                           osim::SimTime ready);
+    /** A restorable checkpoint chain: generations newest..base of an
+     *  agent's list, where base is the full generation the
+     *  incrementals from newest down extend. */
+    struct RestoreChain {
+        size_t newest = 0;
+        size_t base = 0;
+    };
+    /** The newest candidate generation whose whole chain passes
+     *  checksum verification; `skipped` (if given) counts the
+     *  candidates passed over for a corrupt or baseless chain. */
+    std::optional<RestoreChain>
+    restorableChain(const Agent &agent, size_t *skipped = nullptr) const;
     /** Newest checksum-intact checkpoint entry for an object, using
      *  the same candidate/chain selection as the restore path;
      *  nullptr when no generation can vouch for it. */
     const CheckpointEntry *checkpointEntryFor(const Agent &agent,
                                               uint64_t id) const;
+    /** Drop an object from every checkpoint generation of an agent,
+     *  so no restore can bring it back. */
+    static void scrubCheckpoints(Agent &agent, uint64_t id);
     /** Rebuild a checkpoint-held object into its partition's store
      *  (the lazy restore twin of the restartAgent bulk path). */
     bool restoreFromCheckpoint(uint32_t partition, uint64_t id);

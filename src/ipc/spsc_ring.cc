@@ -41,6 +41,8 @@ SpscRing::size() const
 void
 SpscRing::copyIn(uint64_t pos, const uint8_t *src, size_t len)
 {
+    if (len == 0)
+        return; // an empty record may carry a null pointer
     size_t off = static_cast<size_t>(pos % cap);
     size_t first = std::min(len, cap - off);
     std::memcpy(data + off, src, first);
@@ -51,6 +53,8 @@ SpscRing::copyIn(uint64_t pos, const uint8_t *src, size_t len)
 void
 SpscRing::copyOut(uint64_t pos, uint8_t *dst, size_t len) const
 {
+    if (len == 0)
+        return; // an empty record may carry a null pointer
     size_t off = static_cast<size_t>(pos % cap);
     size_t first = std::min(len, cap - off);
     std::memcpy(dst, data + off, first);

@@ -43,6 +43,7 @@ accumulate(core::RunStats &into, const core::RunStats &s)
     into.fullCheckpoints += s.fullCheckpoints;
     into.incrementalCheckpoints += s.incrementalCheckpoints;
     into.checkpointBytesSaved += s.checkpointBytesSaved;
+    into.checkpointBytesShared += s.checkpointBytesShared;
     into.checkpointBytesRestored += s.checkpointBytesRestored;
     into.checkpointFallbacks += s.checkpointFallbacks;
     into.standbyPromotions += s.standbyPromotions;
@@ -1351,6 +1352,8 @@ ShardRouter::route(uint64_t routing_key, const std::string &api_name,
                 ++stats_.deadlineMisses;
             }
             out.result = std::move(result);
+            // An earlier failed attempt may have set the error kind.
+            out.errorKind = RouteError::None;
             out.shard = exec;
             out.proxied = proxied;
             out.hedged = hedged;

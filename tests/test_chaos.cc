@@ -538,6 +538,35 @@ TEST(ChaosRouter, LostObjectSurfacesStructuredError)
     EXPECT_EQ(router->stats().lostObjects, 2u);
 }
 
+TEST(ChaosRouter, RetriedOpenLoopSuccessReportsNoError)
+{
+    ShardRouterConfig config;
+    config.shardCount = 1;
+    auto router = env().makeRouter(config);
+    uint64_t key = keyOwnedBy(*router, 0);
+
+    // Enough transient read errors to exhaust the shard runtime's
+    // whole re-delivery budget once: the first routed attempt fails,
+    // the router's retry finds the device healthy again.
+    osim::FaultInjector injector(7);
+    osim::FaultSpec eio;
+    eio.point = osim::FaultPoint::DeviceRead;
+    eio.action = osim::FaultAction::Transient;
+    eio.count = router->runtime(0).supervisor().policy().retryBudget + 1;
+    injector.schedule(eio);
+    router->kernel(0).setFaultInjector(&injector);
+
+    CallOptions opts;
+    opts.arrival = 0;
+    opts.dedupToken = 9000;
+    RoutedCall call = router->invokeAt(key, "cv2.imread",
+                                       imreadArgs(), opts);
+    router->kernel(0).setFaultInjector(nullptr);
+    ASSERT_TRUE(call.result.ok) << call.result.error;
+    EXPECT_EQ(call.errorKind, RouteError::None);
+    EXPECT_EQ(router->stats().retriesSpent, 1u);
+}
+
 // ---- Config validation ------------------------------------------------
 
 TEST(RouterConfigValidation, RejectsBrokenCombinations)

@@ -5,7 +5,8 @@
  * batched and reserve/commit producers, codec edge cases (empty
  * payloads, slot-exact records, batch-of-one equivalence, corrupted
  * batch trailers), incremental-checkpoint byte savings and restore
- * fidelity, and the bounded LRU dedup cache.
+ * fidelity, buffer sharing between full generations, and the bounded
+ * LRU dedup cache.
  */
 
 #include <gtest/gtest.h>
@@ -351,6 +352,96 @@ TEST(DirtyEpoch, IncrementalRestoreMatchesPreCrashState)
     EXPECT_EQ(runtime->storeOf(p).serialize(weights.objectId),
               before);
     EXPECT_GT(runtime->stats().checkpointBytesRestored, 0u);
+}
+
+/** Summed serialized size of every object in a store. */
+uint64_t
+storeBytes(const fw::ObjectStore &store)
+{
+    uint64_t total = 0;
+    for (uint64_t id : store.ids())
+        total += store.serialize(id).size();
+    return total;
+}
+
+TEST(DirtyEpoch, FullGenerationSharesCleanObjects)
+{
+    core::RuntimeConfig config;
+    config.checkpointInterval = 1000; // checkpoints taken by hand
+    config.checkpointFullEvery = 1;   // every generation is full
+    auto runtime = env().makeRuntime(config);
+    core::ApiResult model = runtime->invoke(
+        "torch.load", {ipc::Value(std::string("/data/model.fpt"))});
+    ASSERT_TRUE(model.ok) << model.error;
+    uint32_t p = runtime->homeOf(model.values[0].asRef().objectId);
+    uint64_t live = storeBytes(runtime->storeOf(p));
+    ASSERT_GT(live, 0u);
+
+    // The first generation has no chain to share with.
+    runtime->checkpointAgent(p);
+    EXPECT_EQ(runtime->stats().checkpointBytesShared, 0u);
+    EXPECT_EQ(runtime->stats().checkpointBytesSaved, live);
+
+    // Nothing was written since: the next full generation references
+    // every object, yet still accounts its full logical size.
+    runtime->checkpointAgent(p);
+    EXPECT_EQ(runtime->stats().fullCheckpoints, 2u);
+    EXPECT_EQ(runtime->stats().checkpointBytesShared, live);
+    EXPECT_EQ(runtime->stats().checkpointBytesSaved, 2 * live);
+}
+
+TEST(DirtyEpoch, CorruptFullGenerationLeavesSharedOlderCopyIntact)
+{
+    osim::FaultInjector injector(11);
+    core::RuntimeConfig config;
+    config.checkpointInterval = 1000; // checkpoints taken by hand
+    config.checkpointFullEvery = 1;   // every generation is full
+    auto runtime = env().makeRuntime(config);
+    // One training round settles the weights and a copy of the data
+    // in the training partition.
+    ipc::ObjectRef weights = trainRounds(*runtime, 1);
+    uint32_t p = runtime->homeOf(weights.objectId);
+    fw::ObjectStore &store = runtime->storeOf(p);
+    uint64_t clean = 0;
+    for (uint64_t id : store.ids())
+        if (id != weights.objectId)
+            clean = id;
+    ASSERT_NE(clean, 0u);
+
+    runtime->checkpointAgent(p);
+    std::vector<uint8_t> dirty_before = store.serialize(weights.objectId);
+    std::vector<uint8_t> clean_before = store.serialize(clean);
+    uint64_t clean_epoch = store.get(clean).dirtyEpoch;
+
+    // Dirty the weights only, then take a full generation — sharing
+    // the clean object's buffer — whose every entry is corrupted after
+    // its checksum was taken.
+    core::ApiResult trained = runtime->invoke(
+        "tf.estimator.DNNClassifier.train",
+        {ipc::Value(weights), ipc::Value(ipc::ObjectRef{p, clean})});
+    ASSERT_TRUE(trained.ok) << trained.error;
+    ASSERT_NE(store.serialize(weights.objectId), dirty_before);
+    ASSERT_EQ(store.get(clean).dirtyEpoch, clean_epoch);
+    osim::FaultSpec spec;
+    spec.point = osim::FaultPoint::Checkpoint;
+    spec.action = osim::FaultAction::Corrupt;
+    spec.pid = runtime->agentPid(p);
+    injector.schedule(spec);
+    env().kernel->setFaultInjector(&injector);
+    runtime->checkpointAgent(p);
+    env().kernel->setFaultInjector(nullptr);
+    EXPECT_EQ(runtime->stats().fullCheckpoints, 2u);
+
+    // The restore skips the corrupt generation and rebuilds both
+    // objects from the older one, whose buffers the clone protected.
+    env().kernel->faultProcess(
+        env().kernel->process(runtime->agentPid(p)), "induced");
+    ASSERT_TRUE(runtime->restartAgent(p));
+    EXPECT_EQ(runtime->stats().checkpointFallbacks, 1u);
+    ASSERT_TRUE(store.has(weights.objectId));
+    ASSERT_TRUE(store.has(clean));
+    EXPECT_EQ(store.serialize(weights.objectId), dirty_before);
+    EXPECT_EQ(store.serialize(clean), clean_before);
 }
 
 // ---- Bounded LRU dedup cache -----------------------------------------
