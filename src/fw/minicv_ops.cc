@@ -21,38 +21,69 @@ clampU8(double v)
     return static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
 }
 
-inline uint32_t
-clampI(int v, int lo, int hi)
+/** Rows r-1, r and r+1 of an image, clamped at its top and bottom. */
+struct RowWindow {
+    const uint8_t *up, *mid, *down;
+};
+
+inline RowWindow
+rowWindow(const uint8_t *src, uint32_t r, uint32_t rows, size_t stride)
 {
-    return static_cast<uint32_t>(std::clamp(v, lo, hi));
+    uint32_t ru = r == 0 ? 0 : r - 1;
+    uint32_t rd = r + 1 >= rows ? rows - 1 : r + 1;
+    return {src + ru * stride, src + r * stride, src + rd * stride};
 }
 
-/** Generic 3x3 min/max filter. */
+/**
+ * Writes out[i] = at(i - ch, i, i + ch) for every element i of one
+ * row of cols pixels x ch channels. The first and last pixel see their
+ * missing neighbour clamped onto themselves (the border rule of every
+ * 3x3 kernel here); the interior loop carries no clamps.
+ */
+template <typename At>
+void
+rowPass3(uint8_t *out, uint32_t cols, uint32_t ch, At at)
+{
+    size_t stride = static_cast<size_t>(cols) * ch;
+    if (stride == 0)
+        return;
+    size_t last = stride - ch;
+    for (size_t k = 0; k < ch; ++k) {
+        if (cols == 1) {
+            out[k] = at(k, k, k);
+            continue;
+        }
+        out[k] = at(k, k, ch + k);
+        out[last + k] = at(last - ch + k, last + k, last + k);
+    }
+    for (size_t i = ch; i < last; ++i)
+        out[i] = at(i - ch, i, i + ch);
+}
+
+/**
+ * 3x3 min/max filter. The clamped 3x3 window is the product of a
+ * clamped row window and a clamped column window, so a vertical pass
+ * over three rows into one row buffer followed by a 3-tap pass across
+ * pixels yields exactly the 9-tap result.
+ */
 template <bool TakeMax>
 void
 minmax3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
           uint32_t cols, uint32_t ch)
 {
+    auto pick = [](uint8_t a, uint8_t b) {
+        return TakeMax ? std::max(a, b) : std::min(a, b);
+    };
+    size_t stride = static_cast<size_t>(cols) * ch;
+    std::vector<uint8_t> v(stride);
     for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            for (uint32_t k = 0; k < ch; ++k) {
-                uint8_t best = TakeMax ? 0 : 255;
-                for (int dr = -1; dr <= 1; ++dr) {
-                    for (int dc = -1; dc <= 1; ++dc) {
-                        uint32_t rr = clampI(static_cast<int>(r) + dr,
-                                             0, static_cast<int>(rows) -
-                                                    1);
-                        uint32_t cc = clampI(static_cast<int>(c) + dc,
-                                             0, static_cast<int>(cols) -
-                                                    1);
-                        uint8_t v = src[idx(rr, cc, k, cols, ch)];
-                        if (TakeMax ? v > best : v < best)
-                            best = v;
-                    }
-                }
-                dst[idx(r, c, k, cols, ch)] = best;
-            }
-        }
+        RowWindow w = rowWindow(src, r, rows, stride);
+        for (size_t i = 0; i < stride; ++i)
+            v[i] = pick(pick(w.up[i], w.mid[i]), w.down[i]);
+        rowPass3(dst + r * stride, cols, ch,
+                 [&v, &pick](size_t l, size_t m, size_t rt) {
+                     return pick(pick(v[l], v[m]), v[rt]);
+                 });
     }
 }
 
@@ -62,32 +93,21 @@ void
 gaussianBlur3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
                 uint32_t cols, uint32_t ch)
 {
-    // Horizontal pass into a temp, vertical pass into dst.
-    std::vector<uint16_t> tmp(static_cast<size_t>(rows) * cols * ch);
+    // Vertical [1 2 1] pass into a u16 row, horizontal pass into dst.
+    // Both passes are exact integer sums, so their order does not
+    // change the (sum + 8) / 16 result.
+    size_t stride = static_cast<size_t>(cols) * ch;
+    std::vector<uint16_t> v(stride);
     for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            uint32_t cl = c == 0 ? 0 : c - 1;
-            uint32_t cr = c + 1 >= cols ? cols - 1 : c + 1;
-            for (uint32_t k = 0; k < ch; ++k) {
-                tmp[idx(r, c, k, cols, ch)] = static_cast<uint16_t>(
-                    src[idx(r, cl, k, cols, ch)] +
-                    2 * src[idx(r, c, k, cols, ch)] +
-                    src[idx(r, cr, k, cols, ch)]);
-            }
-        }
-    }
-    for (uint32_t r = 0; r < rows; ++r) {
-        uint32_t ru = r == 0 ? 0 : r - 1;
-        uint32_t rd = r + 1 >= rows ? rows - 1 : r + 1;
-        for (uint32_t c = 0; c < cols; ++c) {
-            for (uint32_t k = 0; k < ch; ++k) {
-                uint32_t sum = tmp[idx(ru, c, k, cols, ch)] +
-                               2 * tmp[idx(r, c, k, cols, ch)] +
-                               tmp[idx(rd, c, k, cols, ch)];
-                dst[idx(r, c, k, cols, ch)] =
-                    static_cast<uint8_t>((sum + 8) / 16);
-            }
-        }
+        RowWindow w = rowWindow(src, r, rows, stride);
+        for (size_t i = 0; i < stride; ++i)
+            v[i] = static_cast<uint16_t>(w.up[i] + 2 * w.mid[i] +
+                                         w.down[i]);
+        rowPass3(dst + r * stride, cols, ch,
+                 [&v](size_t l, size_t m, size_t rt) {
+                     uint32_t sum = v[l] + 2u * v[m] + v[rt];
+                     return static_cast<uint8_t>((sum + 8) / 16);
+                 });
     }
 }
 
@@ -95,29 +115,60 @@ void
 boxBlur(const uint8_t *src, uint8_t *dst, uint32_t rows,
         uint32_t cols, uint32_t ch, uint32_t k)
 {
-    int half = static_cast<int>(k / 2);
-    for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            for (uint32_t kk = 0; kk < ch; ++kk) {
-                uint32_t sum = 0;
-                uint32_t count = 0;
-                for (int dr = -half; dr <= half; ++dr) {
-                    for (int dc = -half; dc <= half; ++dc) {
-                        int rr = static_cast<int>(r) + dr;
-                        int cc = static_cast<int>(c) + dc;
-                        if (rr < 0 || cc < 0 ||
-                            rr >= static_cast<int>(rows) ||
-                            cc >= static_cast<int>(cols))
-                            continue;
-                        sum += src[idx(static_cast<uint32_t>(rr),
-                                       static_cast<uint32_t>(cc), kk,
-                                       cols, ch)];
-                        ++count;
-                    }
+    // Running column sums over the clipped vertical window, and per
+    // row a horizontal sum sliding over them. The sums are u32 with
+    // the same wraparound as a tap-by-tap sum, and the divisor is the
+    // clipped window area, so every mean is exact; the cost per pixel
+    // is O(1) whatever k is.
+    if (!rows || !cols || !ch)
+        return;
+    const int64_t half = k / 2;
+    const int64_t lastRow = rows - 1, lastCol = cols - 1;
+    const size_t stride = static_cast<size_t>(cols) * ch;
+    std::vector<uint32_t> colSum(stride, 0);
+    std::vector<uint32_t> acc(ch);
+    auto rowAt = [&](int64_t r) {
+        return src + static_cast<size_t>(r) * stride;
+    };
+    for (int64_t r = 0; r <= std::min(half, lastRow); ++r)
+        for (size_t i = 0; i < stride; ++i)
+            colSum[i] += rowAt(r)[i];
+    for (int64_t r = 0; r <= lastRow; ++r) {
+        if (r > 0 && r + half <= lastRow)
+            for (size_t i = 0; i < stride; ++i)
+                colSum[i] += rowAt(r + half)[i];
+        if (r > 0 && r - half - 1 >= 0)
+            for (size_t i = 0; i < stride; ++i)
+                colSum[i] -= rowAt(r - half - 1)[i];
+        const uint32_t height = static_cast<uint32_t>(
+            std::min(r + half, lastRow) - std::max(r - half, int64_t{0}) +
+            1);
+        std::fill(acc.begin(), acc.end(), 0);
+        for (int64_t c = 0; c <= std::min(half, lastCol); ++c)
+            for (uint32_t kk = 0; kk < ch; ++kk)
+                acc[kk] += colSum[static_cast<size_t>(c) * ch + kk];
+        uint8_t *out = dst + static_cast<size_t>(r) * stride;
+        for (int64_t c = 0; c <= lastCol; ++c) {
+            if (c > 0) {
+                for (uint32_t kk = 0; kk < ch; ++kk) {
+                    if (c + half <= lastCol)
+                        acc[kk] +=
+                            colSum[static_cast<size_t>(c + half) * ch +
+                                   kk];
+                    if (c - half - 1 >= 0)
+                        acc[kk] -=
+                            colSum[static_cast<size_t>(c - half - 1) *
+                                       ch +
+                                   kk];
                 }
-                dst[idx(r, c, kk, cols, ch)] =
-                    static_cast<uint8_t>(sum / count);
             }
+            const uint32_t width = static_cast<uint32_t>(
+                std::min(c + half, lastCol) -
+                std::max(c - half, int64_t{0}) + 1);
+            const uint32_t count = height * width;
+            for (uint32_t kk = 0; kk < ch; ++kk)
+                out[static_cast<size_t>(c) * ch + kk] =
+                    static_cast<uint8_t>(acc[kk] / count);
         }
     }
 }
@@ -550,11 +601,14 @@ void
 flipHorizontal(const uint8_t *src, uint8_t *dst, uint32_t rows,
                uint32_t cols, uint32_t ch)
 {
-    for (uint32_t r = 0; r < rows; ++r)
+    size_t stride = static_cast<size_t>(cols) * ch;
+    for (uint32_t r = 0; r < rows; ++r) {
+        const uint8_t *in = src + r * stride;
+        uint8_t *out = dst + r * stride;
         for (uint32_t c = 0; c < cols; ++c)
-            for (uint32_t k = 0; k < ch; ++k)
-                dst[idx(r, c, k, cols, ch)] =
-                    src[idx(r, cols - 1 - c, k, cols, ch)];
+            std::memcpy(out + static_cast<size_t>(c) * ch,
+                        in + static_cast<size_t>(cols - 1 - c) * ch, ch);
+    }
 }
 
 void
@@ -580,8 +634,11 @@ normalizeMinMax(const uint8_t *src, uint8_t *dst, size_t n)
         return;
     }
     double scale = 255.0 / (hi - lo);
+    uint8_t lut[256];
+    for (int v = 0; v < 256; ++v)
+        lut[v] = clampU8((v - lo) * scale);
     for (size_t i = 0; i < n; ++i)
-        dst[i] = clampU8((src[i] - lo) * scale);
+        dst[i] = lut[src[i]];
 }
 
 void
@@ -611,27 +668,26 @@ void
 convFilter3x3(const uint8_t *src, uint8_t *dst, uint32_t rows,
               uint32_t cols, uint32_t ch, const float k[9])
 {
+    // Taps accumulate in double in the order (dr, dc) = (-1,-1),
+    // (-1,0), ... (1,1), each product a float, so the rounding matches
+    // a tap-by-tap evaluation exactly.
+    size_t stride = static_cast<size_t>(cols) * ch;
     for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t c = 0; c < cols; ++c) {
-            for (uint32_t kk = 0; kk < ch; ++kk) {
-                double sum = 0;
-                for (int dr = -1; dr <= 1; ++dr) {
-                    for (int dc = -1; dc <= 1; ++dc) {
-                        uint32_t rr = clampI(static_cast<int>(r) + dr,
-                                             0,
-                                             static_cast<int>(rows) -
-                                                 1);
-                        uint32_t cc = clampI(static_cast<int>(c) + dc,
-                                             0,
-                                             static_cast<int>(cols) -
-                                                 1);
-                        sum += k[(dr + 1) * 3 + (dc + 1)] *
-                               src[idx(rr, cc, kk, cols, ch)];
-                    }
-                }
-                dst[idx(r, c, kk, cols, ch)] = clampU8(sum);
-            }
-        }
+        RowWindow w = rowWindow(src, r, rows, stride);
+        rowPass3(dst + r * stride, cols, ch,
+                 [&w, k](size_t l, size_t m, size_t rt) {
+                     double sum = 0;
+                     sum += k[0] * w.up[l];
+                     sum += k[1] * w.up[m];
+                     sum += k[2] * w.up[rt];
+                     sum += k[3] * w.mid[l];
+                     sum += k[4] * w.mid[m];
+                     sum += k[5] * w.mid[rt];
+                     sum += k[6] * w.down[l];
+                     sum += k[7] * w.down[m];
+                     sum += k[8] * w.down[rt];
+                     return clampU8(sum);
+                 });
     }
 }
 
