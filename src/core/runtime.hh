@@ -284,6 +284,19 @@ class FreePartRuntime
      *  when the config asked for kAutoShardId). */
     uint32_t shardId() const { return shardId_; }
 
+    /** Newest object id this runtime minted (its namespace base when
+     *  it minted none). */
+    uint64_t lastObjectId() const { return idCounter; }
+
+    /**
+     * Mint every later id after `id`, an id of this runtime's
+     * namespace that an earlier runtime minted. A fresh incarnation
+     * on a revived shard slot calls this with its predecessor's
+     * lastObjectId(): objects the old incarnation minted may still
+     * live on other shards or in replicas under those ids.
+     */
+    void resumeObjectIdsAfter(uint64_t id);
+
     /** Whether a speculation window is currently open (a deferred
      *  protection flip / speculative fetch has not reached its commit
      *  horizon yet). Always false with speculativeFlips off. */

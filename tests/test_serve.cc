@@ -486,6 +486,71 @@ TEST(ShardRetire, UnevacuableObjectPrunesItsDedupEntry)
     EXPECT_FALSE(again.deduped);
 }
 
+/**
+ * Brings `victim` back after it was retired or killed and runs a
+ * session on it, then checks that `first` (an object the old
+ * incarnation minted, now held by a survivor or a replica) still
+ * routes: the fresh incarnation must not mint its id again.
+ */
+void
+sessionOnRevivedSlotKeepsOlderObject(ShardRouter &router,
+                                     uint32_t victim, uint64_t key,
+                                     uint64_t first)
+{
+    router.reviveShard(victim);
+    ASSERT_TRUE(router.shardLive(victim));
+    uint64_t sessionKey = keyOwnedBy(router, victim, key + 1);
+    router.chargeSessionStart(sessionKey, 0, 1'000, true);
+    RoutedCall load = router.invoke(
+        sessionKey, "cv2.imread",
+        {ipc::Value(std::string("/data/test.fpim"))});
+    ASSERT_TRUE(load.result.ok) << load.result.error;
+    EXPECT_NE(load.result.values[0].asRef().objectId, first);
+    EXPECT_GE(router.endSession(sessionKey), 1u);
+
+    RoutedCall use = router.invoke(
+        key, "cv2.bitwise_not", {ipc::Value(ipc::ObjectRef{0, first})});
+    EXPECT_TRUE(use.result.ok) << use.result.error;
+    EXPECT_EQ(router.stats().lostObjects, 0u);
+}
+
+TEST(ShardRevive, RetiredSlotNeverRemintsAnEvacuatedId)
+{
+    auto router = env().makeRouter(3u);
+    uint32_t victim = 2;
+    uint64_t key = keyOwnedBy(*router, victim);
+    RoutedCall load = router->invoke(
+        key, "cv2.imread",
+        {ipc::Value(std::string("/data/test.fpim"))});
+    ASSERT_TRUE(load.result.ok) << load.result.error;
+    uint64_t id = load.result.values[0].asRef().objectId;
+
+    ASSERT_TRUE(router->retireShard(victim));
+    ASSERT_NE(router->homeShardOf(id), victim);
+    sessionOnRevivedSlotKeepsOlderObject(*router, victim, key, id);
+}
+
+TEST(ShardRevive, KilledSlotNeverRemintsAReplicatedId)
+{
+    auto router = env().makeRouter(3u);
+    uint32_t victim = 2;
+    uint64_t key = keyOwnedBy(*router, victim);
+    RoutedCall load = router->invoke(
+        key, "cv2.imread",
+        {ipc::Value(std::string("/data/test.fpim"))});
+    ASSERT_TRUE(load.result.ok) << load.result.error;
+    uint64_t id = load.result.values[0].asRef().objectId;
+
+    // Failover restores the object from its replica on a survivor,
+    // under the id the dead incarnation minted.
+    router->killShard(victim);
+    RoutedCall failover = router->invoke(
+        key, "cv2.bitwise_not", {ipc::Value(ipc::ObjectRef{0, id})});
+    ASSERT_TRUE(failover.result.ok) << failover.result.error;
+    ASSERT_NE(router->homeShardOf(id), victim);
+    sessionOnRevivedSlotKeepsOlderObject(*router, victim, key, id);
+}
+
 TEST(ShardRetire, QueueDepthReadsBusyHorizon)
 {
     auto router = env().makeRouter(2u);
