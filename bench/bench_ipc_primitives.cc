@@ -2,9 +2,9 @@
  * @file
  * Real-time (wall-clock) google-benchmark of the IPC building blocks
  * behind §4.3's shared-memory ring-buffer RPC: SPSC ring push/pop at
- * several message sizes, message encode/decode, a full simulated
- * host->agent->host round trip, and the temporal-protection mprotect
- * flip.
+ * several message sizes, message encode/decode, the integrity hash
+ * against byte-serial FNV-1a, a full simulated host->agent->host
+ * round trip, and the temporal-protection mprotect flip.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +13,7 @@
 #include "core/runtime.hh"
 #include "ipc/channel.hh"
 #include "ipc/spsc_ring.hh"
+#include "util/checksum.hh"
 
 using namespace freepart;
 
@@ -48,14 +49,52 @@ BM_MessageCodec(benchmark::State &state)
         std::vector<uint8_t>(static_cast<size_t>(state.range(0))));
     msg.values.emplace_back(ipc::ObjectRef{1, 99});
     for (auto _ : state) {
-        std::vector<uint8_t> wire = ipc::encodeMessage(msg);
-        ipc::Message back = ipc::decodeMessage(wire);
+        std::vector<uint8_t> wire = ipc::encodeBatch({msg});
+        std::vector<ipc::Message> back = ipc::decodeBatch(wire);
         benchmark::DoNotOptimize(back);
     }
     state.SetBytesProcessed(
         static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_MessageCodec)->Arg(64)->Arg(4096)->Arg(65536);
+
+/** Patterned input of state.range(0) bytes, built at run time. */
+std::vector<uint8_t>
+hashInput(const benchmark::State &state)
+{
+    std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<uint8_t>(i * 131 + (i >> 8));
+    return bytes;
+}
+
+/** The wire-trailer and checkpoint-entry hash. 110,592 B is one
+ *  192x192x3 frame. */
+void
+BM_IntegrityHash(benchmark::State &state)
+{
+    std::vector<uint8_t> bytes = hashInput(state);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            util::integrityHash(bytes.data(), bytes.size()));
+    state.SetBytesProcessed(
+        static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_IntegrityHash)->Arg(64)->Arg(4096)->Arg(110592);
+
+/** Byte-serial FNV-1a (kept for pinned digests) over the same
+ *  inputs, for comparison. */
+void
+BM_Fnv1a64(benchmark::State &state)
+{
+    std::vector<uint8_t> bytes = hashInput(state);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            util::fnv1a64(bytes.data(), bytes.size()));
+    state.SetBytesProcessed(
+        static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Fnv1a64)->Arg(64)->Arg(4096)->Arg(110592);
 
 void
 BM_ChannelRoundTrip(benchmark::State &state)

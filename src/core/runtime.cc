@@ -384,7 +384,7 @@ bool
 FreePartRuntime::CheckpointEntry::intact() const
 {
     if (!verified)
-        verified = util::fnv1a64(*bytes) == checksum;
+        verified = util::integrityHash(*bytes) == checksum;
     return *verified;
 }
 
@@ -1705,7 +1705,7 @@ FreePartRuntime::checkpointAgent(uint32_t partition)
             // Checksum before any corruption: bit-rot after the write
             // is exactly what the restore-time verification must
             // catch.
-            entry.checksum = util::fnv1a64(*entry.bytes);
+            entry.checksum = util::integrityHash(*entry.bytes);
         }
         stats_.checkpointBytesSaved += entry.bytes->size();
         if (corrupter && !entry.bytes->empty()) {

@@ -413,13 +413,16 @@ class FreePartRuntime
     osim::SimTime sessionEpochResetCost() const;
 
   private:
+    /** Unit tests damage stored checkpoint bytes through this. */
+    friend struct CheckpointProbe;
+
     /** One checksummed serialized object inside a checkpoint. The
      *  bytes are immutable, so generations may share one buffer and
      *  the checksum verdict, once computed, holds for good. */
     struct CheckpointEntry {
         fw::ObjKind kind = fw::ObjKind::Bytes;
         std::shared_ptr<const std::vector<uint8_t>> bytes;
-        uint64_t checksum = 0;
+        uint64_t checksum = 0; //!< util::integrityHash at save time
         std::string label;
         /** Result of checking bytes against checksum; empty until
          *  the first intact() call. */

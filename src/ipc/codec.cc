@@ -144,7 +144,7 @@ class Writer
 };
 
 /**
- * Forwarding sink that folds every byte into an FNV-1a state so a
+ * Forwarding sink that folds every byte into the integrity hash so a
  * batch trailer can be computed while streaming into ring storage —
  * no second pass over (possibly wrapped) ring memory.
  */
@@ -156,16 +156,15 @@ class ChecksumSink final : public ByteSink
     void
     append(const void *bytes, size_t len) override
     {
-        state = util::fnv1a64Accumulate(
-            state, static_cast<const uint8_t *>(bytes), len);
+        hash.append(bytes, len);
         inner.append(bytes, len);
     }
 
-    uint64_t sum() const { return state; }
+    uint64_t sum() const { return hash.digest(); }
 
   private:
     ByteSink &inner;
-    uint64_t state = util::kFnv1a64Init;
+    util::IntegrityHash hash;
 };
 
 class Reader
@@ -365,36 +364,6 @@ decodeMessageBody(const uint8_t *data, size_t len)
     return msg;
 }
 
-std::vector<uint8_t>
-encodeMessage(const Message &msg)
-{
-    std::vector<uint8_t> wire;
-    wire.reserve(messageBodySize(msg) + sizeof(uint64_t));
-    VectorSink sink(wire);
-    encodeMessageBodyTo(sink, msg);
-    // End-to-end integrity trailer: the receiver verifies this before
-    // acting on any field, so a message corrupted on the shared ring
-    // is rejected instead of silently mis-decoded.
-    uint64_t sum = util::fnv1a64(wire);
-    Writer w(sink);
-    w.u64(sum);
-    return wire;
-}
-
-Message
-decodeMessage(const std::vector<uint8_t> &wire)
-{
-    if (wire.size() < sizeof(uint64_t))
-        util::fatal("codec: message shorter than its checksum");
-    size_t body = wire.size() - sizeof(uint64_t);
-    uint64_t expected;
-    std::memcpy(&expected, wire.data() + body, sizeof(expected));
-    if (util::fnv1a64(wire.data(), body) != expected)
-        util::fatal("codec: checksum mismatch on %zu-byte message",
-                    wire.size());
-    return decodeMessageBody(wire.data(), body);
-}
-
 size_t
 batchWireSize(const std::vector<Message> &msgs)
 {
@@ -440,7 +409,7 @@ decodeBatch(const std::vector<uint8_t> &wire)
     size_t body = wire.size() - kBatchTrailerBytes;
     uint64_t expected;
     std::memcpy(&expected, wire.data() + body, sizeof(expected));
-    if (util::fnv1a64(wire.data(), body) != expected)
+    if (util::integrityHash(wire.data(), body) != expected)
         util::fatal("codec: batch checksum mismatch on %zu-byte frame",
                     wire.size());
     Reader r(wire.data(), body);

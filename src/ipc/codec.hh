@@ -7,14 +7,15 @@
  * the owning partition and a buffer identifier, matching the paper's
  * "agent process's PID and the identifier of the buffer".
  *
- * Two wire framings exist:
- *  - a standalone message: body + per-message FNV-1a trailer
- *    (encodeMessage/decodeMessage);
- *  - a batch frame holding several bodies under ONE shared trailer
- *    ([u32 count][(u32 len, body)...][u64 fnv1a]), used by the
- *    batched ring RPC so a burst of messages pays a single checksum
- *    and a single publish. Encoding targets a ByteSink so the bytes
- *    can stream straight into ring storage (no staging vector).
+ * One wire framing exists: a batch frame holding one or more message
+ * bodies under ONE shared trailer
+ * ([u32 count][(u32 len, body)...][u64 integrity hash]), used by the
+ * ring RPC so a burst of messages pays a single checksum and a single
+ * publish. Encoding targets a ByteSink so the bytes can stream
+ * straight into ring storage (no staging vector). The trailer is
+ * util::IntegrityHash: it detects corruption on the shared ring but
+ * does not authenticate — whoever can rewrite the frame (a
+ * compromised agent, say) can recompute the trailer too.
  */
 
 #ifndef FREEPART_IPC_CODEC_HH
@@ -149,13 +150,6 @@ void encodeMessageBodyTo(ByteSink &sink, const Message &msg);
 
 /** Parse a bare message body; throws on malformed input. */
 Message decodeMessageBody(const uint8_t *data, size_t len);
-
-/** Serialize a standalone message (body + FNV-1a trailer). */
-std::vector<uint8_t> encodeMessage(const Message &msg);
-
-/** Parse standalone wire bytes; verifies the trailer, throws on
- *  malformed input. */
-Message decodeMessage(const std::vector<uint8_t> &wire);
 
 /** Exact encoded size of a batch frame for these messages. */
 size_t batchWireSize(const std::vector<Message> &msgs);

@@ -117,9 +117,6 @@ class NetworkDevice
     std::vector<NetSendEvent> sent;
 };
 
-/** FNV-1a 64-bit hash, used for device-side content checksums. */
-uint64_t fnv1a(const uint8_t *data, size_t len);
-
 } // namespace freepart::osim
 
 #endif // FREEPART_OSIM_DEVICES_HH

@@ -3,13 +3,15 @@
  * Hot-path regression tests for the batched zero-copy RPC transport
  * and the dirty-epoch checkpoint machinery: ring wraparound under
  * batched and reserve/commit producers, codec edge cases (empty
- * payloads, slot-exact records, batch-of-one equivalence, corrupted
+ * payloads, slot-exact records, batch-of-one framing, corrupted
  * batch trailers), incremental-checkpoint byte savings and restore
  * fidelity, buffer sharing between full generations, and the bounded
  * LRU dedup cache.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/dedup_cache.hh"
 #include "core/runtime.hh"
@@ -169,28 +171,33 @@ TEST(CodecEdge, MaxSizeRecordExactlyFillsRingSlot)
     EXPECT_FALSE(ring.tryPush(bigger.data(), bigger.size()));
 }
 
-TEST(CodecEdge, BatchOfOneMatchesStandaloneMessage)
+TEST(CodecEdge, BatchOfOneFramesOneBody)
 {
     ipc::Message msg = makeRequest(
         42, {ipc::Value(uint64_t{9}), ipc::Value(std::string("x")),
              ipc::Value(ipc::ObjectRef{2, 77})});
-    ipc::Message lone = ipc::decodeMessage(ipc::encodeMessage(msg));
-    std::vector<ipc::Message> batched =
-        ipc::decodeBatch(ipc::encodeBatch({msg}));
+    std::vector<uint8_t> wire = ipc::encodeBatch({msg});
+    std::vector<ipc::Message> batched = ipc::decodeBatch(wire);
     ASSERT_EQ(batched.size(), 1u);
     const ipc::Message &b = batched[0];
-    EXPECT_EQ(b.kind, lone.kind);
-    EXPECT_EQ(b.seq, lone.seq);
-    EXPECT_EQ(b.apiId, lone.apiId);
-    ASSERT_EQ(b.values.size(), lone.values.size());
-    EXPECT_EQ(b.values[0].asU64(), lone.values[0].asU64());
-    EXPECT_EQ(b.values[1].asStr(), lone.values[1].asStr());
-    EXPECT_EQ(b.values[2].asRef(), lone.values[2].asRef());
-    // Identical bodies: a batch of one only adds the count word and
-    // swaps the per-message trailer for the shared one.
-    EXPECT_EQ(ipc::batchWireSize({msg}),
-              sizeof(uint32_t) + sizeof(uint32_t) +
-                  ipc::messageBodySize(msg) + sizeof(uint64_t));
+    EXPECT_EQ(b.kind, msg.kind);
+    EXPECT_EQ(b.seq, msg.seq);
+    EXPECT_EQ(b.apiId, msg.apiId);
+    ASSERT_EQ(b.values.size(), msg.values.size());
+    EXPECT_EQ(b.values[0].asU64(), 9u);
+    EXPECT_EQ(b.values[1].asStr(), "x");
+    EXPECT_EQ(b.values[2].asRef(), (ipc::ObjectRef{2, 77}));
+    // [u32 count][u32 len][body][u64 trailer]: the body bytes are
+    // exactly what encodeMessageBodyTo streams.
+    std::vector<uint8_t> body;
+    ipc::VectorSink sink(body);
+    ipc::encodeMessageBodyTo(sink, msg);
+    ASSERT_EQ(body.size(), ipc::messageBodySize(msg));
+    ASSERT_EQ(wire.size(), ipc::batchWireSize({msg}));
+    ASSERT_EQ(wire.size(), sizeof(uint32_t) + sizeof(uint32_t) +
+                               body.size() + sizeof(uint64_t));
+    EXPECT_TRUE(std::equal(body.begin(), body.end(),
+                           wire.begin() + 2 * sizeof(uint32_t)));
 }
 
 TEST(CodecEdge, CorruptedBatchTrailerRejectsTheWholeFrame)
@@ -209,6 +216,32 @@ TEST(CodecEdge, CorruptedBatchTrailerRejectsTheWholeFrame)
     bad = wire;
     bad[sizeof(uint32_t) + sizeof(uint32_t)] ^= 0x80;
     EXPECT_THROW(ipc::decodeBatch(bad), std::exception);
+    EXPECT_NO_THROW(ipc::decodeBatch(wire));
+}
+
+TEST(CodecEdge, EveryBitFlipOfAFrameIsRejected)
+{
+    // A ~200-byte frame whose hashed part (everything before the
+    // trailer) ends past its last 32-byte stripe in whole 8-byte
+    // words and then loose bytes, so the flips land in full stripes,
+    // tail words, tail bytes and the trailer itself.
+    std::vector<ipc::Message> batch = {
+        makeRequest(1, {ipc::Value(std::string("cv2.resize")),
+                        ipc::Value(std::vector<uint8_t>(123, 0x3c))}),
+        makeRequest(2, {ipc::Value(uint64_t{7}),
+                        ipc::Value(ipc::ObjectRef{3, 99})}),
+    };
+    std::vector<uint8_t> wire = ipc::encodeBatch(batch);
+    size_t hashed = wire.size() - sizeof(uint64_t);
+    ASSERT_EQ(wire.size(), 227u);
+    ASSERT_GE(hashed % 32, 8u);
+    ASSERT_NE(hashed % 8, 0u);
+    for (size_t bit = 0; bit < wire.size() * 8; ++bit) {
+        std::vector<uint8_t> bad = wire;
+        bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_THROW(ipc::decodeBatch(bad), std::exception)
+            << "bit " << bit << " of " << wire.size() * 8;
+    }
     EXPECT_NO_THROW(ipc::decodeBatch(wire));
 }
 
@@ -442,6 +475,91 @@ TEST(DirtyEpoch, CorruptFullGenerationLeavesSharedOlderCopyIntact)
     ASSERT_TRUE(store.has(clean));
     EXPECT_EQ(store.serialize(weights.objectId), dirty_before);
     EXPECT_EQ(store.serialize(clean), clean_before);
+}
+
+} // namespace
+
+namespace core {
+
+/** Reaches into an agent's checkpoint chain to damage one stored byte
+ *  after its checksum was taken, as bit-rot would. */
+struct CheckpointProbe {
+    static void
+    flipByte(FreePartRuntime &runtime, uint32_t partition,
+             size_t generation, uint64_t id, size_t offset)
+    {
+        FreePartRuntime::CheckpointEntry &entry =
+            runtime.agents.at(partition)
+                .checkpoints.at(generation)
+                .objects.at(id);
+        std::vector<uint8_t> clone = *entry.bytes;
+        clone.at(offset) ^= 0x01;
+        entry.bytes = std::make_shared<const std::vector<uint8_t>>(
+            std::move(clone));
+        entry.verified.reset();
+    }
+
+    static bool
+    intact(const FreePartRuntime &runtime, uint32_t partition,
+           size_t generation, uint64_t id)
+    {
+        return runtime.agents.at(partition)
+            .checkpoints.at(generation)
+            .objects.at(id)
+            .intact();
+    }
+};
+
+} // namespace core
+
+namespace {
+
+TEST(DirtyEpoch, ByteFlipPastTheLastStripeFallsBackAGeneration)
+{
+    core::RuntimeConfig config;
+    config.checkpointInterval = 1000; // checkpoints taken by hand
+    config.checkpointFullEvery = 1;   // every generation is full
+    auto runtime = env().makeRuntime(config);
+    ipc::ObjectRef weights = trainRounds(*runtime, 1);
+    uint32_t p = runtime->homeOf(weights.objectId);
+    fw::ObjectStore &store = runtime->storeOf(p);
+    uint64_t data = 0;
+    for (uint64_t id : store.ids())
+        if (id != weights.objectId)
+            data = id;
+    ASSERT_NE(data, 0u);
+
+    runtime->checkpointAgent(p);
+    std::vector<uint8_t> older = store.serialize(weights.objectId);
+    core::ApiResult trained = runtime->invoke(
+        "tf.estimator.DNNClassifier.train",
+        {ipc::Value(weights), ipc::Value(ipc::ObjectRef{p, data})});
+    ASSERT_TRUE(trained.ok) << trained.error;
+    ASSERT_NE(store.serialize(weights.objectId), older);
+    runtime->checkpointAgent(p);
+
+    // Damage the newest generation's weights one byte past the last
+    // whole 32-byte stripe: only the hash's tail covers that byte.
+    size_t size = store.serialize(weights.objectId).size();
+    ASSERT_NE(size % 32, 0u);
+    size_t offset = size - size % 32;
+    ASSERT_TRUE(core::CheckpointProbe::intact(*runtime, p, 0,
+                                              weights.objectId));
+    core::CheckpointProbe::flipByte(*runtime, p, 0, weights.objectId,
+                                    offset);
+    EXPECT_FALSE(core::CheckpointProbe::intact(*runtime, p, 0,
+                                               weights.objectId));
+    EXPECT_TRUE(core::CheckpointProbe::intact(*runtime, p, 1,
+                                              weights.objectId));
+
+    // The restore skips the damaged generation and rebuilds the
+    // weights from the older one.
+    env().kernel->faultProcess(
+        env().kernel->process(runtime->agentPid(p)), "induced");
+    ASSERT_TRUE(runtime->restartAgent(p));
+    EXPECT_EQ(runtime->stats().checkpointFallbacks, 1u);
+    ASSERT_TRUE(store.has(weights.objectId));
+    EXPECT_EQ(store.serialize(weights.objectId), older);
 }
 
 // ---- Bounded LRU dedup cache -----------------------------------------

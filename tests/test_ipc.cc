@@ -121,6 +121,16 @@ TEST(SpscRing, TwoThreadStress)
     consumer_thread.join();
 }
 
+/** Encode one message as a batch of one and decode it back. */
+Message
+roundTrip(const Message &msg)
+{
+    std::vector<Message> back = decodeBatch(encodeBatch({msg}));
+    if (back.size() != 1)
+        ADD_FAILURE() << "batch of one decoded to " << back.size();
+    return back.empty() ? Message{} : back.front();
+}
+
 TEST(Codec, ScalarRoundTrip)
 {
     Message msg;
@@ -131,7 +141,7 @@ TEST(Codec, ScalarRoundTrip)
     msg.values.emplace_back(int64_t{-9});
     msg.values.emplace_back(3.25);
     msg.values.emplace_back(std::string("hello"));
-    Message back = decodeMessage(encodeMessage(msg));
+    Message back = roundTrip(msg);
     EXPECT_EQ(back.kind, MsgKind::Request);
     EXPECT_EQ(back.seq, msg.seq);
     EXPECT_EQ(back.apiId, 42u);
@@ -148,7 +158,7 @@ TEST(Codec, BlobAndRefRoundTrip)
     msg.values.emplace_back(std::vector<uint8_t>{1, 2, 3, 255});
     msg.values.emplace_back(ObjectRef{3, 0xdeadbeefull});
     msg.values.emplace_back(); // None
-    Message back = decodeMessage(encodeMessage(msg));
+    Message back = roundTrip(msg);
     ASSERT_EQ(back.values.size(), 3u);
     EXPECT_EQ(back.values[0].asBlob(),
               (std::vector<uint8_t>{1, 2, 3, 255}));
@@ -159,7 +169,7 @@ TEST(Codec, BlobAndRefRoundTrip)
 TEST(Codec, EmptyMessage)
 {
     Message msg;
-    Message back = decodeMessage(encodeMessage(msg));
+    Message back = roundTrip(msg);
     EXPECT_TRUE(back.values.empty());
 }
 
@@ -167,9 +177,9 @@ TEST(Codec, TruncatedInputThrows)
 {
     Message msg;
     msg.values.emplace_back(std::string("payload"));
-    std::vector<uint8_t> wire = encodeMessage(msg);
+    std::vector<uint8_t> wire = encodeBatch({msg});
     wire.resize(wire.size() - 3);
-    EXPECT_ANY_THROW(decodeMessage(wire));
+    EXPECT_ANY_THROW(decodeBatch(wire));
 }
 
 TEST(Codec, WrongKindAccessPanics)
