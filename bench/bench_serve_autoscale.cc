@@ -277,6 +277,7 @@ main(int argc, char **argv)
         replay.shardSeconds == autoRun.shardSeconds &&
         replay.scaler.scaleUps == autoRun.scaler.scaleUps &&
         replay.scaler.scaleDowns == autoRun.scaler.scaleDowns &&
+        replay.scaler.simMappedPeak == autoRun.scaler.simMappedPeak &&
         replay.pool.warmCheckouts == autoRun.pool.warmCheckouts &&
         replay.cluster.makespan == autoRun.cluster.makespan;
     std::printf("deterministic replay: %s\n",
@@ -323,6 +324,9 @@ main(int argc, char **argv)
     json.metric("lost_acks_autoscaled", autoRun.lostAcks);
     json.metric("lost_acks_static", staticRun.lostAcks);
     json.metric("lost_acks_coldstart", coldRun.lostAcks);
+    json.metric("sim_mapped_peak_mb",
+                static_cast<double>(autoRun.scaler.simMappedPeak) /
+                    (1 << 20));
     json.metric("deterministic_replay", identical ? 1 : 0);
     json.metric("acceptance_pass", pass ? 1 : 0);
     json.flush();

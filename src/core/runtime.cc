@@ -115,6 +115,7 @@ FreePartRuntime::FreePartRuntime(osim::Kernel &kernel,
     idCounter = fw::objectIdNamespace(shardId_);
     hostStore_ = std::make_unique<fw::ObjectStore>(kernel_, hostPid_,
                                                    &idCounter);
+    hostStore_->setReleaseObserver(dropVarsOn(hostPid_));
     setupAgents();
     stats_.partitionBusyTime.assign(plan_.partitionCount(), 0);
     stats_.startTime = kernel_.now();
@@ -141,6 +142,7 @@ FreePartRuntime::setupAgents()
         agent.pid = proc.pid();
         agent.store = std::make_unique<fw::ObjectStore>(
             kernel_, agent.pid, &idCounter);
+        agent.store->setReleaseObserver(dropVarsOn(agent.pid));
         agent.channel = std::make_unique<ipc::Channel>(
             kernel_, "ch:" + plan_.partitionName(p), hostPid_,
             agent.pid, config.ringBytes);
@@ -156,6 +158,22 @@ FreePartRuntime::setupAgents()
     for (Agent &agent : agents)
         if (config.restrictSyscalls)
             installPolicy(agent);
+}
+
+fw::ReleaseObserver
+FreePartRuntime::dropVarsOn(osim::Pid pid)
+{
+    // A var on a dead object's buffer goes with the buffer, so no
+    // later state change can mprotect freed pages.
+    return [this, pid](osim::Addr base, size_t len) {
+        vars.erase(std::remove_if(vars.begin(), vars.end(),
+                                  [&](const ProtectedVar &var) {
+                                      return var.pid == pid &&
+                                             var.addr >= base &&
+                                             var.addr < base + len;
+                                  }),
+                   vars.end());
+    };
 }
 
 std::set<osim::Syscall>

@@ -136,7 +136,13 @@ struct CallTicket {
     uint64_t id = 0;
 };
 
-/** An annotated data object under temporal protection (§4.4.3). */
+/**
+ * An annotated data object under temporal protection (§4.4.3). A var
+ * on an object's buffer (createHostMat/createHostBytes, "fetched:")
+ * lives as long as the buffer: when the object dies and its memory is
+ * released, the var is dropped. Data annotated with annotateData,
+ * allocHostData or allocInPartition is not an object and stays.
+ */
 struct ProtectedVar {
     std::string name;
     osim::Pid pid;          //!< process holding the data
@@ -649,6 +655,9 @@ class FreePartRuntime
      *  nullptr when no generation can vouch for it. */
     const CheckpointEntry *checkpointEntryFor(const Agent &agent,
                                               uint64_t id) const;
+    /** Release observer for the store of `pid`: drops the vars on
+     *  a released buffer. */
+    fw::ReleaseObserver dropVarsOn(osim::Pid pid);
     /** Drop an object from every checkpoint generation of an agent,
      *  so no restore can bring it back. */
     static void scrubCheckpoints(Agent &agent, uint64_t id);

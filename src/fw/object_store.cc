@@ -57,7 +57,7 @@ ObjectStore::putMat(const MatDesc &desc, const std::string &label)
     obj.byteLen = desc.byteLen();
     obj.label = label;
     auto [it, ok] = objects.emplace(id, std::move(obj));
-    byAddr[it->second.addr] = id;
+    track(id, it->second);
     markDirty(it->second); // fresh objects are dirty by definition
     return id;
 }
@@ -73,7 +73,7 @@ ObjectStore::putTensor(const TensorDesc &desc, const std::string &label)
     obj.byteLen = desc.byteLen();
     obj.label = label;
     auto [it, ok] = objects.emplace(id, std::move(obj));
-    byAddr[it->second.addr] = id;
+    track(id, it->second);
     markDirty(it->second);
     return id;
 }
@@ -89,7 +89,7 @@ ObjectStore::putBytes(osim::Addr addr, size_t len,
     obj.byteLen = len;
     obj.label = label;
     auto [it, ok] = objects.emplace(id, std::move(obj));
-    byAddr[it->second.addr] = id;
+    track(id, it->second);
     markDirty(it->second);
     return id;
 }
@@ -129,14 +129,45 @@ ObjectStore::tensor(uint64_t id) const
 }
 
 void
+ObjectStore::track(uint64_t id, const StoredObject &obj)
+{
+    byAddr[obj.addr] = id;
+    const osim::Mapping *m =
+        kernel.process(pid_).space().findMapping(obj.addr);
+    if (m && !m->shared) // a ring segment is never an object's to free
+        ++holders[m->base];
+}
+
+void
+ObjectStore::untrack(uint64_t id, const StoredObject &obj)
+{
+    auto by = byAddr.find(obj.addr);
+    if (by != byAddr.end() && by->second == id)
+        byAddr.erase(by);
+    osim::AddressSpace &space = kernel.process(pid_).space();
+    const osim::Mapping *m = space.findMapping(obj.addr);
+    if (!m)
+        return;
+    auto held = holders.find(m->base);
+    if (held == holders.end() || --held->second > 0)
+        return;
+    holders.erase(held);
+    osim::Addr base = m->base;
+    size_t len = m->length;
+    // Straight to the address space, not sysMunmap: reclaiming a dead
+    // object's memory is not a syscall the program pays for.
+    space.unmap(base);
+    if (releaseObserver)
+        releaseObserver(base, len);
+}
+
+void
 ObjectStore::erase(uint64_t id)
 {
     auto it = objects.find(id);
     if (it == objects.end())
         return;
-    auto by = byAddr.find(it->second.addr);
-    if (by != byAddr.end() && by->second == id)
-        byAddr.erase(by);
+    untrack(id, it->second);
     objects.erase(it);
 }
 
@@ -187,15 +218,12 @@ ObjectStore::materialize(uint64_t id, ObjKind kind,
         break;
     }
     // A re-materialize moves the object to a fresh buffer; the stale
-    // address must stop resolving to this id.
+    // one stops resolving to this id and dies with its last holder.
     auto old = objects.find(id);
-    if (old != objects.end()) {
-        auto by = byAddr.find(old->second.addr);
-        if (by != byAddr.end() && by->second == id)
-            byAddr.erase(by);
-    }
+    if (old != objects.end())
+        untrack(id, old->second);
     StoredObject &stored = objects[id] = std::move(obj);
-    byAddr[stored.addr] = id;
+    track(id, stored);
     markDirty(stored);
 }
 

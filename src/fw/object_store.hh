@@ -11,6 +11,7 @@
 #define FREEPART_FW_OBJECT_STORE_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -76,9 +77,20 @@ struct StoredObject {
 };
 
 /**
+ * Called when an object's death releases its buffer: [base, base+len)
+ * of the store's process was just unmapped.
+ */
+using ReleaseObserver = std::function<void(osim::Addr base, size_t len)>;
+
+/**
  * Object table bound to one process's address space. The runtime
  * creates one store per partition (and one for the host) and shares a
  * single id counter across them.
+ *
+ * Each entry holds the mapping its buffer lives in. When the last
+ * entry naming a mapping goes (erase, or a materialize that moves the
+ * object to a fresh buffer), the store unmaps it. The unmap is the
+ * host OS reclaiming dead memory, so it charges no simulated time.
  */
 class ObjectStore
 {
@@ -120,7 +132,7 @@ class ObjectStore
     /** Fetch a Tensor descriptor; panics if id is not a Tensor. */
     const TensorDesc &tensor(uint64_t id) const;
 
-    /** Drop an object (its memory stays allocated until unmapped). */
+    /** Drop an object; unmaps its buffer if no other entry holds it. */
     void erase(uint64_t id);
 
     /** Serialize an object's header+data (for eager RPC transfer). */
@@ -129,7 +141,8 @@ class ObjectStore
     /**
      * Materialize serialized bytes produced by serialize() into this
      * store's process, preserving the original object id so refs keep
-     * resolving after a cross-process move.
+     * resolving after a cross-process move. The bytes land in a fresh
+     * buffer; an existing entry's old buffer is let go as by erase().
      */
     void materialize(uint64_t id, ObjKind kind,
                      const std::vector<uint8_t> &bytes,
@@ -141,14 +154,24 @@ class ObjectStore
     /** All live object ids, ascending. */
     std::vector<uint64_t> ids() const;
 
-    /** Remove everything (used on agent respawn). The write-epoch
-     *  counter deliberately survives — epochs are monotonic across
-     *  incarnations so stale checkpoint watermarks stay comparable. */
+    /** Remove everything (used on agent respawn: the old address
+     *  space, and every buffer in it, is already gone). The
+     *  write-epoch counter deliberately survives — epochs are
+     *  monotonic across incarnations so stale checkpoint watermarks
+     *  stay comparable. */
     void
     clear()
     {
         objects.clear();
         byAddr.clear();
+        holders.clear();
+    }
+
+    /** Install (or clear, with nullptr) the release observer. */
+    void
+    setReleaseObserver(ReleaseObserver observer)
+    {
+        releaseObserver = std::move(observer);
     }
 
     // ---- Dirty-epoch tracking (incremental checkpoints) -----------
@@ -177,12 +200,22 @@ class ObjectStore
     /** Stamp an object as dirtied right now. */
     void markDirty(StoredObject &obj) { obj.dirtyEpoch = ++writeEpoch_; }
 
+    /** Index a new entry: its buffer address and its mapping. */
+    void track(uint64_t id, const StoredObject &obj);
+
+    /** Unindex an entry that is going away; unmaps its mapping when
+     *  no other entry holds it. */
+    void untrack(uint64_t id, const StoredObject &obj);
+
     osim::Kernel &kernel;
     osim::Pid pid_;
     uint64_t *idCounter;
     std::map<uint64_t, StoredObject> objects;
     /** buffer base address -> object id, for observer lookups. */
     std::map<osim::Addr, uint64_t> byAddr;
+    /** mapping base -> number of entries whose buffer lies in it. */
+    std::map<osim::Addr, uint32_t> holders;
+    ReleaseObserver releaseObserver;
     uint64_t writeEpoch_ = 0;
 };
 

@@ -1,8 +1,40 @@
 #include "osim/address_space.hh"
 
+#include <sys/mman.h>
+
+#include <cstdlib>
+#include <new>
+
 #include "util/logging.hh"
 
 namespace freepart::osim {
+
+ByteBuffer::ByteBuffer(size_t size, Zeros zeros)
+    : bytes_(nullptr), size_(size), zeros_(zeros)
+{
+    if (size == 0)
+        util::panic("ByteBuffer: zero size");
+    void *bytes = nullptr;
+    if (zeros == Zeros::HostPages) {
+        bytes = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (bytes == MAP_FAILED)
+            bytes = nullptr;
+    } else {
+        bytes = std::calloc(size, 1);
+    }
+    if (!bytes)
+        throw std::bad_alloc();
+    bytes_ = static_cast<uint8_t *>(bytes);
+}
+
+ByteBuffer::~ByteBuffer()
+{
+    if (zeros_ == Zeros::HostPages)
+        munmap(bytes_, size_);
+    else
+        std::free(bytes_);
+}
 
 AddressSpace::AddressSpace(Pid owner, Addr base)
     : ownerPid(owner), nextAddr(pageBase(base + kPageSize - 1))
@@ -18,7 +50,8 @@ AddressSpace::alloc(size_t size, Perms perms, const std::string &label)
     Mapping m;
     m.base = nextAddr;
     m.length = rounded;
-    m.backing = std::make_shared<std::vector<uint8_t>>(rounded, 0);
+    m.backing =
+        std::make_shared<ByteBuffer>(rounded, ByteBuffer::Zeros::Heap);
     m.backingOff = 0;
     m.shared = false;
     m.label = label;
@@ -38,10 +71,10 @@ AddressSpace::mapShared(Backing backing, Perms perms,
 {
     if (!backing)
         util::panic("mapShared: null backing");
-    size_t rounded =
-        (backing->size() + kPageSize - 1) & ~(kPageSize - 1);
-    if (backing->size() < rounded)
-        backing->resize(rounded, 0);
+    size_t rounded = backing->size();
+    if (rounded % kPageSize != 0)
+        util::panic("mapShared: segment of %zu bytes is not page-rounded",
+                    rounded);
     Mapping m;
     m.base = nextAddr;
     m.length = rounded;
@@ -111,12 +144,6 @@ AddressSpace::findMapping(Addr addr) const
     return nullptr;
 }
 
-Mapping *
-AddressSpace::findMappingMutable(Addr addr)
-{
-    return const_cast<Mapping *>(findMapping(addr));
-}
-
 bool
 AddressSpace::isMapped(Addr addr, size_t len) const
 {
@@ -144,54 +171,52 @@ AddressSpace::checkPages(Addr addr, size_t len, Perms need,
     }
 }
 
+uint8_t *
+AddressSpace::checkedBytes(Addr addr, size_t len, Perms need,
+                           bool is_write, const char *what) const
+{
+    const Mapping *m = findMapping(addr);
+    if (!m)
+        throw MemFault(ownerPid, addr, is_write, "unmapped page");
+    if (addr + len > m->base + m->length)
+        throw MemFault(ownerPid, addr, is_write,
+                       std::string(what) + " outside mapping");
+    checkPages(addr, len, need, is_write);
+    return m->backing->data() + m->backingOff + (addr - m->base);
+}
+
 void
 AddressSpace::read(Addr addr, void *dst, size_t len) const
 {
-    const Mapping *m = findMapping(addr);
-    if (!m || addr + len > m->base + m->length)
-        throw MemFault(ownerPid, addr, false, "read outside mapping");
-    checkPages(addr, len, PermRead, false);
-    std::memcpy(dst, m->backing->data() + m->backingOff +
-                         (addr - m->base),
+    std::memcpy(dst, checkedBytes(addr, len, PermRead, false, "read"),
                 len);
 }
 
 void
 AddressSpace::write(Addr addr, const void *src, size_t len)
 {
-    Mapping *m = findMappingMutable(addr);
-    if (!m || addr + len > m->base + m->length)
-        throw MemFault(ownerPid, addr, true, "write outside mapping");
-    checkPages(addr, len, PermWrite, true);
-    std::memcpy(m->backing->data() + m->backingOff + (addr - m->base),
-                src, len);
+    std::memcpy(checkedBytes(addr, len, PermWrite, true, "write"), src,
+                len);
     notifyWrite(addr, len);
 }
 
 uint8_t *
 AddressSpace::checkedSpan(Addr addr, size_t len, bool for_write)
 {
-    Mapping *m = findMappingMutable(addr);
-    if (!m || addr + len > m->base + m->length)
-        throw MemFault(ownerPid, addr, for_write,
-                       "span outside mapping");
-    checkPages(addr, len, for_write ? PermWrite : PermRead, for_write);
+    uint8_t *bytes = checkedBytes(
+        addr, len, for_write ? PermWrite : PermRead, for_write, "span");
     // A writable span hands out raw bytes, so the actual stores are
     // invisible; conservatively treat the whole span as dirtied (the
     // same over-approximation a page-granular soft-dirty bit makes).
     if (for_write)
         notifyWrite(addr, len);
-    return m->backing->data() + m->backingOff + (addr - m->base);
+    return bytes;
 }
 
 const uint8_t *
 AddressSpace::checkedSpan(Addr addr, size_t len) const
 {
-    const Mapping *m = findMapping(addr);
-    if (!m || addr + len > m->base + m->length)
-        throw MemFault(ownerPid, addr, false, "span outside mapping");
-    checkPages(addr, len, PermRead, false);
-    return m->backing->data() + m->backingOff + (addr - m->base);
+    return checkedBytes(addr, len, PermRead, false, "span");
 }
 
 } // namespace freepart::osim

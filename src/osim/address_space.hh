@@ -3,10 +3,12 @@
  * Per-process virtual address space with page-granular permissions.
  *
  * Each allocation becomes a contiguous mapping backed by private bytes
- * or by a shared-memory segment. All reads and writes are permission
- * checked, which is exactly how FreePart's temporal mprotect-based
- * protection (Fig. 3) stops data-corruption payloads: once a data
- * object's pages are flipped to read-only, any write raises MemFault.
+ * or by a shared-memory segment. A mapping lives until unmap(); the
+ * bytes behind it live until the last mapping (or segment) holding
+ * them lets go. All reads and writes are permission checked, which is
+ * exactly how FreePart's temporal mprotect-based protection (Fig. 3)
+ * stops data-corruption payloads: once a data object's pages are
+ * flipped to read-only, any write raises MemFault.
  */
 
 #ifndef FREEPART_OSIM_ADDRESS_SPACE_HH
@@ -23,8 +25,39 @@
 
 namespace freepart::osim {
 
-/** Shared backing store for a mapping (private or shm-backed). */
-using Backing = std::shared_ptr<std::vector<uint8_t>>;
+/**
+ * Zero-filled bytes behind one or more mappings, owned until the last
+ * holder lets go. The zeros come from the host OS in one of two ways:
+ *
+ *  - Heap: calloc. Private mappings are many and short-lived, and a
+ *    recycled heap chunk is cheaper than fresh pages.
+ *  - HostPages: anonymous mmap. Shm segments are few, large and
+ *    mostly untouched; every page reads as the host's shared zero
+ *    page until its first write, so an idle ring costs no memory.
+ */
+class ByteBuffer
+{
+  public:
+    enum class Zeros : uint8_t { Heap, HostPages };
+
+    /** Allocate size zero bytes. @throws std::bad_alloc */
+    ByteBuffer(size_t size, Zeros zeros);
+    ~ByteBuffer();
+
+    ByteBuffer(const ByteBuffer &) = delete;
+    ByteBuffer &operator=(const ByteBuffer &) = delete;
+
+    uint8_t *data() const { return bytes_; }
+    size_t size() const { return size_; }
+
+  private:
+    uint8_t *bytes_;
+    size_t size_;
+    Zeros zeros_;
+};
+
+/** Shared handle to a mapping's bytes (private or shm-backed). */
+using Backing = std::shared_ptr<ByteBuffer>;
 
 /**
  * Callback fired after every successful mutating access (write() or a
@@ -39,7 +72,7 @@ using WriteObserver = std::function<void(Addr addr, size_t len)>;
 struct Mapping {
     Addr base = kNullAddr;        //!< first mapped address
     size_t length = 0;            //!< mapped length in bytes
-    Backing backing;              //!< backing bytes (length >= length)
+    Backing backing;              //!< backing bytes (size >= length)
     size_t backingOff = 0;        //!< offset of base within backing
     bool shared = false;          //!< true if backed by a shm segment
     std::string label;            //!< debug label ("Mat#3", "shm:ch0")
@@ -49,8 +82,9 @@ struct Mapping {
  * A sparse simulated virtual address space.
  *
  * Allocations are page aligned and never reuse addresses (a bump
- * allocator), so a dangling reference to freed memory faults instead
- * of silently aliasing — useful when simulating exploit payloads.
+ * allocator), so a dangling reference to unmapped memory — say, the
+ * old address of an object that died — faults with "unmapped page"
+ * instead of reading dead bytes or silently aliasing a newer object.
  */
 class AddressSpace
 {
@@ -59,7 +93,8 @@ class AddressSpace
     explicit AddressSpace(Pid owner, Addr base = 0x10000);
 
     /**
-     * Allocate a zero-initialized private mapping.
+     * Allocate a zero-initialized private mapping. Its bytes are
+     * released by unmap(); nothing else frees them.
      *
      * @param size   Length in bytes (rounded up to page size).
      * @param perms  Initial page permissions.
@@ -72,7 +107,8 @@ class AddressSpace
     /**
      * Map a shared backing (shm segment) into this space.
      *
-     * @param backing  Shared bytes; must outlive the mapping.
+     * @param backing  Shared bytes, page-rounded in size (panics
+     *                 otherwise); the mapping holds a reference.
      * @param perms    Initial page permissions.
      * @param label    Debug label recorded on the mapping.
      * @return Base address of the new mapping.
@@ -80,7 +116,8 @@ class AddressSpace
     Addr mapShared(Backing backing, Perms perms,
                    const std::string &label = "");
 
-    /** Unmap the mapping that starts exactly at base. */
+    /** Unmap the mapping that starts exactly at base, dropping its
+     *  reference to the backing bytes. */
     void unmap(Addr base);
 
     /**
@@ -156,7 +193,11 @@ class AddressSpace
     }
 
   private:
-    Mapping *findMappingMutable(Addr addr);
+    /** Bytes behind [addr, addr+len) after the mapping and page
+     *  checks. @throws MemFault ("unmapped page" when no mapping
+     *  holds addr, "<what> outside mapping" on an overrun) */
+    uint8_t *checkedBytes(Addr addr, size_t len, Perms need,
+                          bool is_write, const char *what) const;
     void checkPages(Addr addr, size_t len, Perms need, bool is_write)
         const;
 

@@ -40,6 +40,15 @@ Kernel::process(Pid pid) const
     return *it->second;
 }
 
+size_t
+Kernel::mappedBytes() const
+{
+    size_t total = 0;
+    for (const auto &[pid, proc] : procs)
+        total += proc->space().mappedBytes();
+    return total;
+}
+
 bool
 Kernel::hasProcess(Pid pid) const
 {
@@ -461,11 +470,13 @@ Kernel::guiShow(Process &proc, Fd gui_fd, const std::string &window,
 uint32_t
 Kernel::shmCreate(const std::string &name, size_t size)
 {
-    size_t rounded = (size + kPageSize - 1) & ~(kPageSize - 1);
+    size_t rounded =
+        (std::max<size_t>(size, 1) + kPageSize - 1) & ~(kPageSize - 1);
     ShmSegment seg;
     seg.id = static_cast<uint32_t>(shmSegs.size());
     seg.name = name;
-    seg.backing = std::make_shared<std::vector<uint8_t>>(rounded, 0);
+    seg.backing = std::make_shared<ByteBuffer>(
+        rounded, ByteBuffer::Zeros::HostPages);
     shmSegs.push_back(std::move(seg));
     return shmSegs.back().id;
 }

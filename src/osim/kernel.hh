@@ -91,6 +91,10 @@ class Kernel
     /** Pids of all live processes. */
     std::vector<Pid> livePids() const;
 
+    /** Simulated bytes mapped across every process (crashed ones
+     *  included); a shm segment counts once per mapping. */
+    size_t mappedBytes() const;
+
     /**
      * Restart a crashed/exited process in place: fresh address space,
      * fresh (unlocked) filter, same pid, incarnation+1. Used by
@@ -307,7 +311,9 @@ class Kernel
 
     // ---- Shared memory -----------------------------------------------
 
-    /** Create a named shared segment of the given size. */
+    /** Create a named shared segment of the given size, rounded up
+     *  to whole pages. Its pages stay the host's zero page until
+     *  first written. */
     uint32_t shmCreate(const std::string &name, size_t size);
 
     /** Map a segment into a process from trusted runtime context. */

@@ -71,6 +71,10 @@ Autoscaler::tick(osim::SimTime now)
     auto live = static_cast<uint32_t>(router_.liveShardCount());
     stats_.livePeak = std::max(stats_.livePeak, live);
     stats_.liveFloor = std::min(stats_.liveFloor, live);
+    size_t mapped = 0;
+    for (uint32_t s = 0; s < router_.shardCount(); ++s)
+        mapped += router_.kernel(s).mappedBytes();
+    stats_.simMappedPeak = std::max(stats_.simMappedPeak, mapped);
 
     double maxDepth = 0.0;
     double depthSum = 0.0;

@@ -94,6 +94,10 @@ struct AutoscalerStats {
     uint32_t livePeak = 0;
     uint32_t liveFloor = 0;
     double maxDepthSeen = 0.0;
+    /** Peak of the simulated bytes mapped across every shard slot's
+     *  processes, sampled at each tick (a deterministic point, so the
+     *  figure replays exactly and a leak shows as a larger peak). */
+    size_t simMappedPeak = 0;
     /** Integral of live shards over the arrival axis, in shard-
      *  seconds — the capacity bill a static max-size cluster is
      *  compared against. */

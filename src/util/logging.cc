@@ -47,7 +47,7 @@ vformat(const char *fmt, ...)
 void
 emit(LogLevel level, const char *prefix, const std::string &msg)
 {
-    if (level > g_level && level != LogLevel::Silent)
+    if (level > g_level)
         return;
     std::fprintf(stderr, "[%s] %s\n", prefix, msg.c_str());
 }

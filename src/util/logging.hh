@@ -25,6 +25,24 @@ LogLevel logLevel();
 /** Set the process-wide log verbosity. */
 void setLogLevel(LogLevel level);
 
+/** Set the log verbosity for one scope; the old level comes back at
+ *  scope exit. */
+class ScopedLogLevel
+{
+  public:
+    explicit ScopedLogLevel(LogLevel level) : saved(logLevel())
+    {
+        setLogLevel(level);
+    }
+    ~ScopedLogLevel() { setLogLevel(saved); }
+
+    ScopedLogLevel(const ScopedLogLevel &) = delete;
+    ScopedLogLevel &operator=(const ScopedLogLevel &) = delete;
+
+  private:
+    LogLevel saved;
+};
+
 namespace detail {
 
 std::string vformat(const char *fmt, ...)
@@ -54,13 +72,15 @@ class FatalError : public std::runtime_error
     explicit FatalError(const std::string &msg) : std::runtime_error(msg) {}
 };
 
-/** Report an internal invariant violation and throw PanicError. */
+/** Report an internal invariant violation and throw PanicError. The
+ *  report prints at Warn, so LogLevel::Silent quiets it; the throw
+ *  happens regardless. */
 template <typename... Args>
 [[noreturn]] void
 panic(const char *fmt, Args... args)
 {
     std::string msg = detail::vformat(fmt, args...);
-    detail::emit(LogLevel::Silent, "panic", msg);
+    detail::emit(LogLevel::Warn, "panic", msg);
     throw PanicError(msg);
 }
 
@@ -70,7 +90,7 @@ template <typename... Args>
 fatal(const char *fmt, Args... args)
 {
     std::string msg = detail::vformat(fmt, args...);
-    detail::emit(LogLevel::Silent, "fatal", msg);
+    detail::emit(LogLevel::Warn, "fatal", msg);
     throw FatalError(msg);
 }
 

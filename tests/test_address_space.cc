@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "osim/address_space.hh"
+#include "util/logging.hh"
 
 namespace freepart::osim {
 namespace {
@@ -112,11 +113,38 @@ TEST(AddressSpace, UnmapRemovesMapping)
 TEST(AddressSpace, SharedMappingSeesPeerWrites)
 {
     AddressSpace p1(1), p2(2);
-    auto backing = std::make_shared<std::vector<uint8_t>>(kPageSize);
+    auto backing = std::make_shared<ByteBuffer>(
+        kPageSize, ByteBuffer::Zeros::HostPages);
     Addr a1 = p1.mapShared(backing, PermRW, "shm");
     Addr a2 = p2.mapShared(backing, PermRW, "shm");
     p1.writeValue<uint64_t>(a1 + 16, 0x1234567890abcdefull);
     EXPECT_EQ(p2.readValue<uint64_t>(a2 + 16), 0x1234567890abcdefull);
+}
+
+TEST(AddressSpace, MapSharedRejectsSegmentThatIsNotPageRounded)
+{
+    AddressSpace space(1);
+    auto backing = std::make_shared<ByteBuffer>(
+        kPageSize + 1, ByteBuffer::Zeros::Heap);
+    EXPECT_THROW(space.mapShared(backing, PermRW, "shm"),
+                 util::PanicError);
+}
+
+TEST(AddressSpace, UnmapReleasesBytesAndStaleAccessFaultsUnmapped)
+{
+    AddressSpace space(1);
+    Addr a = space.alloc(3 * kPageSize);
+    std::weak_ptr<ByteBuffer> bytes = space.findMapping(a)->backing;
+    space.unmap(a);
+    EXPECT_TRUE(bytes.expired());
+    EXPECT_EQ(space.mappedBytes(), 0u);
+    try {
+        space.readValue<uint8_t>(a + kPageSize);
+        FAIL() << "stale read did not fault";
+    } catch (const MemFault &fault) {
+        EXPECT_NE(std::string(fault.what()).find("unmapped page"),
+                  std::string::npos);
+    }
 }
 
 TEST(AddressSpace, MappedBytesTracksAllocations)

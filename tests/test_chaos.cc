@@ -571,6 +571,8 @@ TEST(ChaosRouter, RetriedOpenLoopSuccessReportsNoError)
 
 TEST(RouterConfigValidation, RejectsBrokenCombinations)
 {
+    // Each rejection is reported by fatal() before it throws.
+    util::ScopedLogLevel quiet(util::LogLevel::Silent);
     auto build = [&](ShardRouterConfig config) {
         config.shardCount = 1; // keep construction cheap
         env().makeRouter(std::move(config));

@@ -20,6 +20,7 @@
 #include "ipc/codec.hh"
 #include "ipc/spsc_ring.hh"
 #include "osim/fault_injection.hh"
+#include "util/logging.hh"
 
 namespace freepart {
 namespace {
@@ -118,7 +119,13 @@ makeRequest(uint64_t seq, ipc::ValueList values)
     return msg;
 }
 
-TEST(CodecEdge, ZeroLengthPayloadsRoundTripInABatch)
+/** Rejection tests: a corrupt frame is reported by fatal() before it
+ *  throws, so thousands of bit flips would print thousands of lines. */
+struct CodecEdge : testing::Test {
+    util::ScopedLogLevel quiet{util::LogLevel::Silent};
+};
+
+TEST_F(CodecEdge, ZeroLengthPayloadsRoundTripInABatch)
 {
     ipc::ValueList values;
     values.emplace_back(std::vector<uint8_t>{}); // empty blob
@@ -139,7 +146,7 @@ TEST(CodecEdge, ZeroLengthPayloadsRoundTripInABatch)
     EXPECT_EQ(back[1].seq, 2u);
 }
 
-TEST(CodecEdge, MaxSizeRecordExactlyFillsRingSlot)
+TEST_F(CodecEdge, MaxSizeRecordExactlyFillsRingSlot)
 {
     // Size the ring so one batch frame consumes the data area to the
     // last byte; the push must succeed, and any further record (even
@@ -171,7 +178,7 @@ TEST(CodecEdge, MaxSizeRecordExactlyFillsRingSlot)
     EXPECT_FALSE(ring.tryPush(bigger.data(), bigger.size()));
 }
 
-TEST(CodecEdge, BatchOfOneFramesOneBody)
+TEST_F(CodecEdge, BatchOfOneFramesOneBody)
 {
     ipc::Message msg = makeRequest(
         42, {ipc::Value(uint64_t{9}), ipc::Value(std::string("x")),
@@ -200,7 +207,7 @@ TEST(CodecEdge, BatchOfOneFramesOneBody)
                            wire.begin() + 2 * sizeof(uint32_t)));
 }
 
-TEST(CodecEdge, CorruptedBatchTrailerRejectsTheWholeFrame)
+TEST_F(CodecEdge, CorruptedBatchTrailerRejectsTheWholeFrame)
 {
     std::vector<ipc::Message> batch = {
         makeRequest(1, {ipc::Value(uint64_t{1})}),
@@ -219,7 +226,7 @@ TEST(CodecEdge, CorruptedBatchTrailerRejectsTheWholeFrame)
     EXPECT_NO_THROW(ipc::decodeBatch(wire));
 }
 
-TEST(CodecEdge, EveryBitFlipOfAFrameIsRejected)
+TEST_F(CodecEdge, EveryBitFlipOfAFrameIsRejected)
 {
     // A ~200-byte frame whose hashed part (everything before the
     // trailer) ends past its last 32-byte stripe in whole 8-byte
@@ -245,7 +252,7 @@ TEST(CodecEdge, EveryBitFlipOfAFrameIsRejected)
     EXPECT_NO_THROW(ipc::decodeBatch(wire));
 }
 
-TEST(CodecEdge, CorruptFaultSurfacesAsTypedChannelLoss)
+TEST_F(CodecEdge, CorruptFaultSurfacesAsTypedChannelLoss)
 {
     osim::Kernel kernel;
     osim::FaultInjector injector(11);

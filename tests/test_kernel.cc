@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <vector>
+
 #include "osim/kernel.hh"
 #include "util/checksum.hh"
 #include "util/logging.hh"
@@ -239,6 +245,36 @@ TEST(Kernel, ShmMapSharesBytesBetweenProcesses)
     Addr mb = kernel.trustedShmMap(b.pid(), seg, PermRW);
     a.space().writeValue<uint32_t>(ma + 100, 777);
     EXPECT_EQ(b.space().readValue<uint32_t>(mb + 100), 777u);
+}
+
+TEST(Kernel, ShmSegmentTakesItsZeroPagesOnDemand)
+{
+    Kernel kernel;
+    Process &a = kernel.spawn("a");
+    Process &b = kernel.spawn("b");
+    constexpr size_t kSize = 16u << 20;
+    uint32_t seg = kernel.shmCreate("ring", kSize);
+    Backing backing = kernel.shmBacking(seg);
+    ASSERT_EQ(backing->size(), kSize);
+
+    // mincore reports this process's own residency: a fresh segment
+    // has no page in memory until something touches it.
+    size_t hostPage = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> resident(kSize / hostPage);
+    ASSERT_EQ(mincore(backing->data(), kSize, resident.data()), 0);
+    EXPECT_EQ(std::count_if(resident.begin(), resident.end(),
+                            [](unsigned char v) { return v & 1; }),
+              0);
+
+    Addr ma = kernel.trustedShmMap(a.pid(), seg, PermRW);
+    Addr mb = kernel.trustedShmMap(b.pid(), seg, PermRW);
+    const uint8_t *va = a.space().checkedSpan(ma, kSize);
+    const uint8_t *vb = b.space().checkedSpan(mb, kSize);
+    auto zero = [](uint8_t v) { return v == 0; };
+    EXPECT_TRUE(std::all_of(va, va + kSize, zero));
+    EXPECT_TRUE(std::all_of(vb, vb + kSize, zero));
+    a.space().writeValue<uint32_t>(ma + kSize - 4, 0xfeedu);
+    EXPECT_EQ(b.space().readValue<uint32_t>(mb + kSize - 4), 0xfeedu);
 }
 
 TEST(Kernel, ShmOpenSyscallRequiresAllowlist)

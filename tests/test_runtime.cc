@@ -422,6 +422,102 @@ TEST(Runtime, FetchToHostMakesDataReadableAndCountsEager)
     EXPECT_GE(runtime->stats().eagerCopies, 1u);
 }
 
+// ---- Object death releases memory -----------------------------------
+
+/** Does a read at addr in pid's space fault as an unmapped page? */
+bool
+faultsUnmapped(osim::Kernel &kernel, osim::Pid pid, osim::Addr addr)
+{
+    try {
+        kernel.process(pid).space().readValue<uint8_t>(addr);
+    } catch (const osim::MemFault &fault) {
+        return std::string(fault.what()).find("unmapped page") !=
+               std::string::npos;
+    }
+    return false;
+}
+
+TEST(ObjectDeath, EvictedObjectFaultsAtItsOldAddresses)
+{
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
+    ApiResult img = runtime->invoke(
+        "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
+    ASSERT_TRUE(img.ok) << img.error;
+    uint64_t id = img.values[0].asRef().objectId;
+    runtime->fetchToHost(img.values[0].asRef());
+    osim::Addr agentAddr = runtime->storeOf(0).get(id).addr;
+    osim::Addr hostAddr = runtime->hostStore().get(id).addr;
+    size_t hostMapped =
+        runtime->hostProcess().space().mappedBytes();
+
+    runtime->evictObject(id);
+    EXPECT_TRUE(faultsUnmapped(*env().kernel, runtime->agentPid(0),
+                               agentAddr));
+    EXPECT_TRUE(faultsUnmapped(*env().kernel, runtime->hostPid(),
+                               hostAddr));
+    EXPECT_LT(runtime->hostProcess().space().mappedBytes(),
+              hostMapped);
+    for (const ProtectedVar &var : runtime->protectedVars())
+        EXPECT_NE(var.addr, hostAddr) << var.name;
+}
+
+TEST(ObjectDeath, RefetchingOneObjectKeepsHostMemoryFlat)
+{
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
+    ApiResult img = runtime->invoke(
+        "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
+    ASSERT_TRUE(img.ok) << img.error;
+    ipc::ObjectRef ref = img.values[0].asRef();
+    // Draw in place (an agent copy, homed there), then fetch back to
+    // the host: every round moves the object to fresh buffers.
+    auto round = [&] {
+        ApiResult drawn = runtime->invoke(
+            "cv2.rectangle",
+            {ipc::Value(ref), ipc::Value(uint64_t{1}),
+             ipc::Value(uint64_t{1}), ipc::Value(uint64_t{4}),
+             ipc::Value(uint64_t{4}), ipc::Value(uint64_t{255})});
+        ASSERT_TRUE(drawn.ok) << drawn.error;
+        ASSERT_NE(runtime->homeOf(ref.objectId), kHostPartition);
+        runtime->fetchToHost(ref);
+    };
+    round();
+    const osim::AddressSpace &host = runtime->hostProcess().space();
+    size_t mapped = host.mappedBytes();
+    size_t mappings = host.mappingCount();
+    size_t vars = runtime->protectedVars().size();
+    for (int i = 0; i < 1000; ++i)
+        round();
+    EXPECT_EQ(host.mappedBytes(), mapped);
+    EXPECT_EQ(host.mappingCount(), mappings);
+    EXPECT_EQ(runtime->protectedVars().size(), vars);
+}
+
+TEST(ObjectDeath, NextStateChangeFlipsOnlyLiveVars)
+{
+    auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());
+    ApiResult img = runtime->invoke(
+        "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
+    ASSERT_TRUE(img.ok) << img.error;
+    ASSERT_EQ(runtime->state(), FrameworkState::Loading);
+    // Two host vars defined in Loading; the fetched one dies.
+    uint64_t kept = runtime->createHostBytes({1, 2, 3}, "kept");
+    runtime->fetchToHost(img.values[0].asRef());
+    runtime->evictObject(img.values[0].asRef().objectId);
+
+    uint64_t flips = runtime->stats().protectionFlips;
+    ApiResult other = runtime->invoke(
+        "cv2.imread", {ipc::Value(std::string("/data/test.fpim"))});
+    ASSERT_TRUE(other.ok) << other.error;
+    ApiResult blur =
+        runtime->invoke("cv2.GaussianBlur", {other.values[0]});
+    ASSERT_TRUE(blur.ok) << blur.error;
+    ASSERT_EQ(runtime->state(), FrameworkState::Processing);
+    EXPECT_EQ(runtime->stats().protectionFlips, flips + 1);
+    EXPECT_THROW(runtime->hostProcess().space().writeValue<uint8_t>(
+                     runtime->hostStore().get(kept).addr, 0),
+                 osim::MemFault);
+}
+
 TEST(Runtime, StatsTrackIpcAndSimTime)
 {
     auto runtime = env().makeRuntime(PartitionPlan::freePartDefault());

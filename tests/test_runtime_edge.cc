@@ -390,6 +390,8 @@ TEST(RuntimeEdge, EvictObjectPrunesDedupEntriesReferencingIt)
 
 TEST(RuntimeConfigValidation, RejectsBrokenCombinations)
 {
+    // Each rejection is reported by fatal() before it throws.
+    util::ScopedLogLevel quiet(util::LogLevel::Silent);
     auto build = [&](RuntimeConfig config) {
         env().makeRuntime(PartitionPlan::freePartDefault(), config);
     };

@@ -571,6 +571,50 @@ TEST(ShardRetire, QueueDepthReadsBusyHorizon)
 
 // ---- TenantTrafficGenerator -----------------------------------------
 
+// ---- Session memory --------------------------------------------------
+
+TEST(SessionMemory, EndedSessionsGiveTheirMemoryBack)
+{
+    auto router = env().makeRouter(1u);
+    osim::Kernel &kernel = router->kernel(0);
+    // Before any session: rings and annotated data only.
+    size_t idle = kernel.mappedBytes();
+    uint64_t token = 0;
+    auto session = [&](uint64_t key) {
+        RoutedCall load = router->invoke(
+            key, "cv2.imread",
+            {ipc::Value(std::string("/data/test.fpim"))}, ++token);
+        ASSERT_TRUE(load.result.ok) << load.result.error;
+        ipc::Value chain = load.result.values[0];
+        for (const char *op :
+             {"cv2.GaussianBlur", "cv2.bitwise_not", "cv2.flip"}) {
+            RoutedCall call = router->invoke(key, op, {chain}, ++token);
+            ASSERT_TRUE(call.result.ok) << call.result.error;
+            chain = call.result.values[0];
+        }
+        EXPECT_GE(router->endSession(key), 1u);
+    };
+    size_t after20 = 0;
+    for (uint64_t s = 1; s <= 200; ++s) {
+        session(1000 + s);
+        if (s == 20)
+            after20 = kernel.mappedBytes();
+    }
+    EXPECT_EQ(kernel.mappedBytes(), after20);
+
+    core::FreePartRuntime &runtime = router->runtime(0);
+    size_t live = 0;
+    auto addLive = [&live](const fw::ObjectStore &store) {
+        for (uint64_t id : store.ids())
+            live += (store.get(id).byteLen + osim::kPageSize - 1) &
+                    ~(osim::kPageSize - 1);
+    };
+    addLive(runtime.hostStore());
+    for (uint32_t p = 0; p < runtime.plan().partitionCount(); ++p)
+        addLive(runtime.storeOf(p));
+    EXPECT_LE(kernel.mappedBytes(), idle + live);
+}
+
 TEST(TenantTraffic, DeterministicRunWithZeroLostAcks)
 {
     apps::WorkloadGenerator::Config wconfig;

@@ -46,6 +46,22 @@ TEST(Logging, FatalMessageContainsFormattedText)
     }
 }
 
+TEST(Logging, SilentQuietsFatalAndPanicButNotTheThrow)
+{
+    LogLevel old = logLevel();
+    setLogLevel(LogLevel::Silent);
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(fatal("quiet %d", 1), FatalError);
+    EXPECT_THROW(panic("quiet %d", 2), PanicError);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    setLogLevel(LogLevel::Warn);
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(fatal("loud %d", 3), FatalError);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "[fatal] loud 3\n");
+    setLogLevel(old);
+}
+
 TEST(Logging, LevelRoundTrips)
 {
     LogLevel old = logLevel();
